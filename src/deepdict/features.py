@@ -81,9 +81,6 @@ class SparseMatrix:
     def copy(self) -> "SparseMatrix":
         return SparseMatrix(self.n_rows, self.n_cols, dict(self.entries))
 
-    def row(self, r: int) -> dict[int, float]:
-        return {c: v for (rr, c), v in self.entries.items() if rr == r}
-
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.n_cols != other.n_rows:
             raise DimensionMismatch("matrix shapes do not align")

@@ -7,6 +7,10 @@ documents (>= 1) and candidates (>= membership weight), one linking row
 per string-using pointer, and optional per-class cut rows limiting each
 right-extension equivalence class to one dictionary member.
 
+solve_lp always solves by delayed column generation in one simplex
+session, at every size; the dense program that build_lp assembles is the
+reference form that simplex.solve and lp_text read.
+
 Rounding keeps every candidate with membership weight above a snap
 threshold, re-solves all reconstructions restricted to that dictionary,
 and prunes strings that end up unused (taking the transitive closure of
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import simplex
 from .corpus import EquivalenceClasses, equivalence_classes
-from .errors import Infeasible, InvalidParam, TooLarge
+from .errors import Infeasible, InvalidParam, NumericalFailure, TooLarge
 from .model import (CONSTANT_DICT_COST, DICT_CHAR, DICT_STRING, DOCUMENT,
                     ModelInstance, Pointer)
 from .recon import Interval, ReconInstance, solve_dp
@@ -234,11 +238,6 @@ def _crash_vector(model: ModelInstance, doc_idx: list[int],
     return start
 
 
-def crash_start(lp: LPInstance) -> np.ndarray:
-    return _crash_vector(lp.model, list(range(lp.n_doc)), list(range(lp.n_dict)))
-
-
-COLGEN_THRESHOLD = 900  # direct solve below this many variables + rows
 COLGEN_BATCH = 24  # new columns per reconstruction target per round
 COLGEN_ROUNDS = 80
 
@@ -255,8 +254,7 @@ def _seed_columns(pointers, lengths) -> set[int]:
     return set(by_start.values())
 
 
-def _colgen_solve(model: ModelInstance, cut_members: list[list[int]],
-                  max_iterations: int):
+def _colgen_solve(model: ModelInstance, cut_members: list[list[int]]):
     """Delayed column-and-row generation: pointers outside the active set
     are fixed at zero (their linking rows are then vacuous), and a pointer
     is activated when the coverage prices of the positions it fills exceed
@@ -281,15 +279,16 @@ def _colgen_solve(model: ModelInstance, cut_members: list[list[int]],
     dict_idx = sorted(active_dict)
     program, _, doc_base, dict_base = _assemble_program(
         model, doc_idx, dict_idx, cut_members)
-    session = simplex.IncrementalSolver(program, _crash_vector(model, doc_idx, dict_idx),
-                                        max_iterations)
+    session = simplex.IncrementalSolver(program, _crash_vector(model, doc_idx, dict_idx))
     # struct column registry: membership variables first, then pointers in
     # activation order
     doc_pos = {i: n_strings + c for c, i in enumerate(doc_idx)}
     dict_pos = {i: n_strings + len(doc_idx) + c for c, i in enumerate(dict_idx)}
 
     for _ in range(COLGEN_ROUNDS):
-        session.optimize()
+        status = session.optimize()
+        if status != "optimal":
+            raise NumericalFailure(f"restricted program came back {status}")
         y = session.duals()
         new_by_target: dict[tuple, list[tuple[float, int, bool]]] = {}
         for i, ptr in enumerate(model.doc_pointers):
@@ -351,25 +350,22 @@ def _colgen_solve(model: ModelInstance, cut_members: list[list[int]],
     raise NumericalFailure("column generation did not converge")
 
 
-def solve_lp(lp: LPInstance, max_iterations: int = 200000) -> LPSolution:
+def solve_lp(lp: LPInstance) -> LPSolution:
+    """Optimal solution of the instance's relaxation, by column generation
+    over its model and cut rows.  lp.program is the dense reference form of
+    the same program; column generation cannot honour bounds pinned in it
+    (fixing_strings), so such instances are rejected."""
+    prog = lp.program
+    if np.any(prog.lower != 0.0) or np.any(prog.upper != 1.0):
+        raise InvalidParam("solve_lp keeps every variable in [0, 1]; solve a "
+                           "program with pinned variables with simplex.solve")
     if not lp.model.costs.nonnegative():
         raise InvalidParam("the simplex path requires nonnegative costs; "
                            "negative-cost landmarks are solved by inspection")
     check_coverable(lp.model)
     cut_members = [list(meta[1]) for meta in lp.row_meta if meta[0] == "cut"]
-    if lp.n_vars + lp.program.rows.shape[0] <= COLGEN_THRESHOLD:
-        result = simplex.solve(lp.program, start=crash_start(lp),
-                               max_iterations=max_iterations)
-        if result.status == "infeasible":
-            raise Infeasible("compression LP is infeasible")
-        if result.status == "unbounded":
-            raise InvalidParam("compression LP is unbounded")
-        values, objective, iterations = result.x, result.objective, result.iterations
-    else:
-        values, objective, iterations = _colgen_solve(lp.model, cut_members,
-                                                      max_iterations)
-    summary = {"iterations": iterations}
-    return LPSolution(values, objective, "optimal", summary, lp)
+    values, objective, iterations = _colgen_solve(lp.model, cut_members)
+    return LPSolution(values, objective, "optimal", {"iterations": iterations}, lp)
 
 
 @dataclass(frozen=True)

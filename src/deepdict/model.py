@@ -95,13 +95,6 @@ class ModelInstance:
     costs: CostModel
     cfl_mode: bool = False
 
-    def pointer_source_length(self, ptr: Pointer) -> int:
-        return candidate_length(self.candidates, ptr)
-
-
-def candidate_length(candidates: CandidateSet, ptr: Pointer) -> int:
-    return len(candidates.strings[ptr.source])
-
 
 def scheme_costs(doc_pointers: list[Pointer], dict_pointers: list[Pointer],
                  candidates: CandidateSet, tau: float, lam: float, alpha: float,
@@ -110,6 +103,8 @@ def scheme_costs(doc_pointers: list[Pointer], dict_pointers: list[Pointer],
     membership costs tau (or the string length in 'length' mode), and
     dictionary pointers cost lam when they use a string and alpha*lam when
     they use a character."""
+    if not all(math.isfinite(v) for v in (tau, lam, alpha)):
+        raise InvalidParam("tau, lam and alpha must be finite")
     if tau < 0 or lam < 0:
         raise InvalidParam("tau and lam must be nonnegative")
     if not 0 <= alpha <= 1:
@@ -167,20 +162,3 @@ def pointer_is_valid(ptr: Pointer, corpus: Corpus, candidates: CandidateSet) -> 
     if lo < 0 or hi > len(target):
         return False
     return tuple(target[lo:hi]) == src
-
-
-def total_cost(model: ModelInstance, doc_chosen, dict_chosen, dictionary) -> float:
-    """Objective value of an explicit selection (indices into the pointer
-    lists plus candidate ids in the dictionary)."""
-    c = model.costs
-    value = sum(c.doc_costs[i] for i in doc_chosen)
-    value += sum(c.dict_costs[i] for i in dict_chosen)
-    value += sum(c.string_costs[cid] for cid in dictionary)
-    return value
-
-
-def assert_finite_costs(costs: CostModel) -> None:
-    for arr in (costs.doc_costs, costs.dict_costs, costs.string_costs):
-        for v in arr:
-            if not math.isfinite(v):
-                raise InvalidParam("cost model contains non-finite entries")

@@ -36,10 +36,6 @@ class CompressJob:
     exact_if_small: bool = False
     exact_limit: int = EXACT_LIMIT
     dict_cost_mode: str = CONSTANT_DICT_COST
-    # deep runs also round the character-only restriction and keep the
-    # cheaper result; every shallow solution is feasible for the full
-    # model, so the deep output then never trails the shallow one
-    shallow_fallback: bool = True
 
 
 @dataclass
@@ -99,9 +95,12 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
     lp = build_lp(model, cuts=job.cuts)
     solution = solve_lp(lp)
     comp = round_to_compression(solution, model)
-    if not job.cfl_mode and job.shallow_fallback and _fallback_small_enough(model):
+    # deep runs also round the character-only restriction and keep the
+    # cheaper result; every shallow solution is feasible for the full
+    # model, so the deep output then never trails the shallow one
+    if not job.cfl_mode:
         shallow = _shallow_rounding(job, model)
-        if shallow is not None and shallow.objective < comp.objective - 1e-9:
+        if shallow.objective < comp.objective - 1e-9:
             comp = shallow
     _assert_valid(comp, model)
     report = _report("lp+round", solution, comp, model, n_vars,
@@ -109,17 +108,7 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
     return comp, report, model
 
 
-FALLBACK_CAP = 4000  # skip the shallow companion above this LP size
-
-
-def _fallback_small_enough(model: ModelInstance) -> bool:
-    char_slots = sum(len(s) for s in model.candidates.strings)
-    positions = model.corpus.total_symbols + char_slots
-    n_vars = len(model.candidates) + len(model.doc_pointers) + char_slots
-    return n_vars + positions + len(model.doc_pointers) <= FALLBACK_CAP
-
-
-def _shallow_rounding(job: CompressJob, model: ModelInstance) -> Compression | None:
+def _shallow_rounding(job: CompressJob, model: ModelInstance) -> Compression:
     """Round the character-only restriction of the same instance and price
     it in the full model, where it is feasible verbatim."""
     restricted = build_model(job.corpus, model.candidates, job.tau, job.lam,

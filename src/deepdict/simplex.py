@@ -9,6 +9,10 @@ Implementation notes:
     values (default lower bounds).  Rows violated by that point receive a
     phase-1 artificial; rows satisfied by it start with their slack basic,
     so a feasible start skips phase 1 entirely.
+  - Both entry points share one two-phase session, IncrementalSolver:
+    solve() runs it once on a fixed program (the dense reference solver),
+    and column generation keeps it alive while appending columns and rows.
+    Row prices are read from the slack columns of the tableau.
   - Pricing is Devex reference weights with an automatic switch to Bland's
     rule after a run of degenerate steps, which restores the termination
     guarantee; it switches back once a step makes progress.
@@ -79,11 +83,9 @@ class _Tableau:
 
         cols = [rows, np.eye(m)]
         self.art_cols = np.arange(len(art_rows)) + n + m
-        self.art_rows = art_rows
-        self.art_signs = np.sign(art_resid[art_rows])
         if len(art_rows):
             art = np.zeros((m, len(art_rows)))
-            art[art_rows, np.arange(len(art_rows))] = self.art_signs
+            art[art_rows, np.arange(len(art_rows))] = np.sign(art_resid[art_rows])
             cols.append(art)
         self.T = np.ascontiguousarray(np.hstack(cols))
         # normalize rows whose artificial carries a -1 so the starting basis
@@ -243,38 +245,27 @@ class _Tableau:
 
 def solve(lp: LinearProgram, start: np.ndarray | None = None,
           max_iterations: int = 200000, want_duals: bool = False) -> SimplexResult:
-    m, n = lp.rows.shape
-    if start is None:
-        start = np.where(np.isfinite(lp.lower), lp.lower, 0.0)
-    tab = _Tableau(lp, np.asarray(start, dtype=float))
-    n_art = len(tab.art_cols)
-    if n_art:
-        phase1 = np.zeros(tab.ncols)
-        phase1[tab.art_cols] = 1.0
-        status = tab.minimize(phase1, max_iterations, stop_objective=0.01 * FEAS_TOL)
-        if status != "optimal":
-            raise NumericalFailure("phase 1 did not terminate cleanly")
-        infeas = float(tab.xB[np.isin(tab.basic, tab.art_cols)].sum()) if m else 0.0
-        if infeas > FEAS_TOL:
-            return SimplexResult("infeasible", None, float("nan"), tab.iterations, None)
-        _expel_artificials(tab)
-        tab.upper[tab.art_cols] = 0.0
-    cost = np.zeros(tab.ncols)
-    cost[:n] = lp.objective
-    status = tab.minimize(cost, max_iterations)
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, float("-inf"), tab.iterations, None)
-    x = tab.values()[:n]
-    obj = float(lp.objective @ x)
+    """Dense reference solve: one IncrementalSolver session that never
+    grows.  Row prices, when wanted, are the session's slack-column prices."""
+    session = IncrementalSolver(lp, start, max_iterations)
+    status = session.optimize()
+    if status != "optimal":
+        objective = float("nan") if status == "infeasible" else float("-inf")
+        return SimplexResult(status, None, objective, session.tab.iterations, None)
+    x = session.values()
     _verify(lp, x)
-    duals = _dual_prices(lp, tab, cost) if want_duals else None
-    return SimplexResult("optimal", x, obj, tab.iterations, tab.basic.copy(), duals)
+    duals = session.duals() if want_duals else None
+    return SimplexResult("optimal", x, session.objective(), session.tab.iterations,
+                         session.tab.basic.copy(), duals)
 
 
 class IncrementalSolver:
-    """Phase-2 continuation across column and row appends, for delayed
-    generation schemes.
+    """Two-phase simplex session that also continues across column and row
+    appends, for delayed generation schemes.
 
+    Construction runs phase 1 from the start point (default: lower bounds,
+    or 0 where a lower bound is infinite); status is then "infeasible" or
+    "feasible", and optimize() runs phase 2 from the current basis.
     The driving program may grow between optimize() calls: new columns
     enter nonbasic at their lower bound and new rows must hold, with
     nonnegative slack, at the current point, so the working basis stays
@@ -282,14 +273,17 @@ class IncrementalSolver:
     prices come from the slack columns of the tableau, so no basis
     factorization is ever rebuilt."""
 
-    def __init__(self, lp: LinearProgram, start: np.ndarray,
+    def __init__(self, lp: LinearProgram, start: np.ndarray | None = None,
                  max_iterations: int = 200000):
         self.max_iterations = max_iterations
         self.senses = np.asarray(lp.senses).copy()
         self.objective_vec = np.array(lp.objective, dtype=float)
+        if start is None:
+            start = np.where(np.isfinite(lp.lower), lp.lower, 0.0)
         self.tab = _Tableau(lp, np.asarray(start, dtype=float))
         self.struct_cols = list(range(self.tab.n))
         self.slack_cols = list(range(self.tab.n, self.tab.n + self.tab.m))
+        self.status = "feasible"
         if len(self.tab.art_cols):
             phase1 = np.zeros(self.tab.ncols)
             phase1[self.tab.art_cols] = 1.0
@@ -300,7 +294,8 @@ class IncrementalSolver:
             infeas = float(self.tab.xB[np.isin(self.tab.basic,
                                                self.tab.art_cols)].sum())
             if infeas > FEAS_TOL:
-                raise NumericalFailure("incremental session started infeasible")
+                self.status = "infeasible"
+                return
             _expel_artificials(self.tab)
             self.tab.upper[self.tab.art_cols] = 0.0
 
@@ -309,11 +304,13 @@ class IncrementalSolver:
         cost[self.struct_cols] = self.objective_vec
         return cost
 
-    def optimize(self) -> None:
-        status = self.tab.minimize(self._cost_vector(), self.max_iterations)
-        if status != "optimal":
-            raise NumericalFailure("incremental re-optimization came back "
-                                   + status)
+    def optimize(self) -> str:
+        """Phase 2 from the current basis: "optimal", "unbounded", or
+        "infeasible" when phase 1 found no feasible point."""
+        if self.status != "infeasible":
+            self.status = self.tab.minimize(self._cost_vector(),
+                                            self.max_iterations)
+        return self.status
 
     def values(self) -> np.ndarray:
         return self.tab.values()[self.struct_cols]
@@ -378,32 +375,6 @@ class IncrementalSolver:
             self.slack_cols.extend(range(first, first + r))
             self.senses = np.concatenate([self.senses, np.full(r, LE)])
         tab._scratch = np.empty_like(tab.T)
-
-
-def _dual_prices(lp: LinearProgram, tab: _Tableau, cost: np.ndarray) -> np.ndarray:
-    """Row prices y solving B^T y = c_B over the normalized system, reported
-    in the original sense convention (so reduced costs are c_j - y.A_j with
-    the rows as given)."""
-    m, n = tab.m, tab.n
-    if m == 0:
-        return np.zeros(0)
-    flip = np.asarray(lp.senses) == GE
-    basis = np.empty((m, m))
-    for k, j in enumerate(tab.basic):
-        if j < n:
-            col = np.array(lp.rows[:, j], dtype=float)
-            col[flip] *= -1.0
-            basis[:, k] = col
-        elif j < n + m:
-            basis[:, k] = 0.0
-            basis[j - n, k] = 1.0
-        else:
-            a = int(np.flatnonzero(tab.art_cols == j)[0])
-            basis[:, k] = 0.0
-            basis[tab.art_rows[a], k] = tab.art_signs[a]
-    y = np.linalg.solve(basis.T, cost[tab.basic])
-    y[flip] *= -1.0
-    return y
 
 
 def _expel_artificials(tab: _Tableau) -> None:

@@ -86,6 +86,30 @@ def test_compress_empty_document_exits_2(tmp_path):
     assert cli.main(["compress", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag,value", [("--tau", "inf"), ("--tau", "nan"),
+                                        ("--lambda", "nan"), ("--lambda", "inf"),
+                                        ("--alpha", "nan")])
+def test_compress_non_finite_cost_exits_2(tmp_path, capsys, flag, value):
+    inp = write_corpus_file(tmp_path, "abab.txt", ["abab"])
+    code = cli.main(["compress", inp, "--min-count", "1", flag, value,
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out
+    assert "must be finite" in captured.err
+
+
+def test_compress_colgen_non_convergence_exits_3(tmp_path, monkeypatch):
+    # 1074 variables + rows; with no generation rounds the solve cannot
+    # converge, which must end as a numerical failure, not a traceback
+    inp = write_corpus_file(tmp_path, "ladder.txt",
+                            ["abracadabra cadabra", "cadabra xyz abra",
+                             "dab abra ca xyz", "xyz abracad dab"])
+    monkeypatch.setattr("deepdict.lp.COLGEN_ROUNDS", 0)
+    assert cli.main(["compress", inp, "--out", str(tmp_path / "o")]) == 3
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         cli.main(["compress"])  # missing input

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from deepdict import simplex
 from deepdict.corpus import CHAR, enumerate_candidates, equivalence_classes, ingest
 from deepdict.errors import Infeasible, InvalidParam, TooLarge
 from deepdict.lp import (build_lp, compression_errors, exact_solve, lp_text,
@@ -71,6 +72,30 @@ def test_solution_satisfies_rows():
         float(prog.objective @ solution.values), abs=1e-7)
 
 
+@pytest.mark.parametrize("n_docs,length", [(1, (4, 10)), (2, (4, 10)),
+                                            (2, (8, 16)), (3, (8, 16))])
+def test_solve_lp_matches_dense_reference(n_docs, length):
+    # column generation must reach the optimum of the full dense program at
+    # every size; these programs have 89, 286, 870 and 1094 variables + rows
+    rng = random.Random(100 * n_docs + length[0])
+    texts = ["".join(rng.choice("abc") for _ in range(rng.randint(*length)))
+             for _ in range(n_docs)]
+    model = model_for(texts, 4, 1)
+    for cuts in (False, True):
+        lp = build_lp(model, cuts=cuts)
+        reference = simplex.solve(lp.program)
+        assert reference.status == "optimal"
+        assert solve_lp(lp).objective == pytest.approx(reference.objective, abs=1e-7)
+
+
+def test_solve_lp_rejects_pinned_bounds():
+    # the pinned program's optimum is 5, the free relaxation's 3.3; the
+    # column-generation solve cannot honour the pins, so it must refuse
+    model = model_for(["aaaa"], 4, 1)
+    with pytest.raises(InvalidParam):
+        solve_lp(build_lp(model).fixing_strings({1: 0.0, 2: 0.0, 3: 0.0}))
+
+
 def test_infeasible_when_filter_removes_a_position():
     # 'c' occurs once, so min_count=2 leaves its position uncoverable
     model = model_for(["abcab"], 3, 2)
@@ -105,7 +130,6 @@ def test_fixed_binary_membership_gives_integral_solution():
             if keep:
                 members.add(cid)
         lp = build_lp(model).fixing_strings(fixed)
-        from deepdict import simplex
         result = simplex.solve(lp.program)
         assert result.status == "optimal"
         snapped = np.round(result.x)
