@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Commands: compress, features, path, eval, oracle, stats.  Outputs are
+Commands: compress, features, path, eval, oracle, stats, recon.  Outputs are
 plain structured text or JSON documents; every file starts with a header
 embedding the artifact version and the run configuration, and identical
 configurations produce byte-identical outputs.
@@ -168,7 +168,6 @@ def cmd_features(args: argparse.Namespace) -> int:
         comp, report, model = bon_compress(corpus, args.bon, args.min_count)
     elif args.fractional:
         from .lp import build_lp, round_to_compression, solve_lp
-        from .pipeline import build_job_model
         model = build_job_model(_job(args, corpus))
         solution = solve_lp(build_lp(model, cuts=args.cuts))
         comp = round_to_compression(solution, model)

@@ -1,4 +1,4 @@
-"""Full compression LP: assembly, cuts, simplex solve, rounding, exact oracle.
+"""Full compression LP: instance, cuts, simplex solve, rounding, exact oracle.
 
 Variables are ordered as all dictionary-membership weights (one per
 candidate), then all document pointer weights, then all dictionary pointer
@@ -7,9 +7,11 @@ documents (>= 1) and candidates (>= membership weight), one linking row
 per string-using pointer, and optional per-class cut rows limiting each
 right-extension equivalence class to one dictionary member.
 
-solve_lp always solves by delayed column generation in one simplex
-session, at every size; the dense program that build_lp assembles is the
-reference form that simplex.solve and lp_text read.
+An LPInstance is the model plus its cut rows; no matrix is built for it.
+solve_lp solves it by delayed column generation in one simplex session,
+which assembles only the restricted program.  dense_program assembles the
+full program as one dense matrix: the reference form that simplex.solve
+reads in the tests.
 
 Rounding keeps every candidate with membership weight above a snap
 threshold, re-solves all reconstructions restricted to that dictionary,
@@ -37,40 +39,28 @@ ROUND_EPS = 1e-6
 
 @dataclass
 class LPInstance:
+    """The relaxation of a model's storage program plus its cut rows, one
+    per multi-member equivalence class; rows and columns are read from the
+    model, never stored."""
+
     model: ModelInstance
-    program: simplex.LinearProgram
-    n_strings: int
-    n_doc: int
-    n_dict: int
-    row_meta: list[tuple]
-    cuts: bool = False
+    cut_members: list[list[int]]
 
     @property
     def n_vars(self) -> int:
-        return self.n_strings + self.n_doc + self.n_dict
+        model = self.model
+        return len(model.candidates) + len(model.doc_pointers) + len(model.dict_pointers)
 
-    def string_col(self, cid: int) -> int:
-        return cid
-
-    def doc_col(self, i: int) -> int:
-        return self.n_strings + i
-
-    def dict_col(self, i: int) -> int:
-        return self.n_strings + self.n_doc + i
-
-    def fixing_strings(self, values: dict[int, float]) -> "LPInstance":
-        """A copy of this instance with the given membership variables
-        pinned (lower = upper = value)."""
-        prog = self.program
-        lower = prog.lower.copy()
-        upper = prog.upper.copy()
-        for cid, val in values.items():
-            lower[cid] = val
-            upper[cid] = val
-        fixed = simplex.LinearProgram(prog.objective, prog.rows, prog.senses,
-                                      prog.rhs, lower, upper)
-        return LPInstance(self.model, fixed, self.n_strings, self.n_doc,
-                          self.n_dict, self.row_meta, self.cuts)
+    @property
+    def n_rows(self) -> int:
+        """Rows of the full program: coverage, linking and cut rows."""
+        model = self.model
+        cands = model.candidates
+        return (model.corpus.total_symbols
+                + sum(cands.length(cid) for cid in range(len(cands)))
+                + len(model.doc_pointers)
+                + sum(ptr.kind == DICT_STRING for ptr in model.dict_pointers)
+                + len(self.cut_members))
 
 
 @dataclass
@@ -82,120 +72,126 @@ class LPSolution:
     instance: LPInstance
 
     def string_value(self, cid: int) -> float:
-        return float(self.values[self.instance.string_col(cid)])
+        return float(self.values[cid])
 
     def doc_value(self, i: int) -> float:
-        return float(self.values[self.instance.doc_col(i)])
+        return float(self.values[len(self.instance.model.candidates) + i])
 
     def dict_value(self, i: int) -> float:
-        return float(self.values[self.instance.dict_col(i)])
+        model = self.instance.model
+        return float(self.values[len(model.candidates) + len(model.doc_pointers) + i])
 
     def is_integral(self, eps: float = ROUND_EPS) -> bool:
         v = self.values
         return bool(np.all((np.abs(v) <= eps) | (np.abs(v - 1.0) <= eps)))
 
 
-def _cut_rows(model: ModelInstance,
-              classes: EquivalenceClasses | None) -> list[list[int]]:
-    if classes is None:
-        classes = equivalence_classes(model.candidates, model.corpus)
+def build_lp(model: ModelInstance, cuts: bool = False,
+             classes: EquivalenceClasses | None = None) -> LPInstance:
+    """The model's relaxation; with cuts, one cut row per multi-member
+    right-extension class (computed here when classes is not given)."""
+    if not cuts:
+        return LPInstance(model, [])
     scheme = model.costs.scheme
     if scheme is None or scheme.negate or scheme.dict_cost_mode != CONSTANT_DICT_COST:
         raise InvalidParam("equivalence cuts require the symmetric cost scheme")
-    return classes.multi_member()
+    if classes is None:
+        classes = equivalence_classes(model.candidates, model.corpus)
+    return LPInstance(model, classes.multi_member())
+
+
+def _coverage_rows(model: ModelInstance):
+    """Names of the coverage rows (one per document position, then one per
+    candidate position) and the first row of each document and candidate."""
+    row_meta: list[tuple] = []
+    doc_base = {}
+    dict_base = {}
+    for doc in model.corpus.docs:
+        doc_base[doc.id] = len(row_meta)
+        row_meta.extend(("doc_cov", doc.id, pos) for pos in range(1, len(doc) + 1))
+    for cid in range(len(model.candidates)):
+        dict_base[cid] = len(row_meta)
+        row_meta.extend(("dict_cov", cid, pos)
+                        for pos in range(1, model.candidates.length(cid) + 1))
+    return row_meta, doc_base, dict_base
+
+
+def _pointer_column(model: ModelInstance, doc_base: dict[int, int],
+                    dict_base: dict[int, int], i: int, is_doc: bool):
+    """Document (is_doc) or dictionary pointer i as a column: the coverage
+    rows [start, stop) it fills, its cost, and the string whose membership
+    bounds it through its linking row (None when it has no linking row)."""
+    if is_doc:
+        ptr = model.doc_pointers[i]
+        start = doc_base[ptr.target] + ptr.location - 1
+        cost = model.costs.doc_costs[i]
+        source = ptr.source
+    else:
+        ptr = model.dict_pointers[i]
+        start = dict_base[ptr.target] + ptr.location - 1
+        cost = model.costs.dict_costs[i]
+        source = ptr.source if ptr.kind == DICT_STRING else None
+    return start, start + model.candidates.length(ptr.source), cost, source
 
 
 def _assemble_program(model: ModelInstance, doc_idx: list[int], dict_idx: list[int],
                       cut_members: list[list[int]]):
     """Dense program over the membership variables plus the given subset of
-    pointer variables; pointers outside the subset are fixed at zero, which
-    only their own linking rows would reference."""
+    pointer variables, and the name of each row; pointers outside the
+    subset are fixed at zero, which only their own linking rows would
+    reference."""
     cands = model.candidates
     n_strings = len(cands)
-    n = n_strings + len(doc_idx) + len(dict_idx)
-
-    row_meta: list[tuple] = []
-    doc_cov_base = {}
-    for doc in model.corpus.docs:
-        doc_cov_base[doc.id] = len(row_meta)
-        for pos in range(1, len(doc) + 1):
-            row_meta.append(("doc_cov", doc.id, pos))
-    dict_cov_base = {}
-    for cid in range(n_strings):
-        dict_cov_base[cid] = len(row_meta)
-        for pos in range(1, cands.length(cid) + 1):
-            row_meta.append(("dict_cov", cid, pos))
+    row_meta, doc_base, dict_base = _coverage_rows(model)
     n_cov = len(row_meta)
-    for i in doc_idx:
-        row_meta.append(("link_doc", i))
-    for i in dict_idx:
-        if model.dict_pointers[i].kind == DICT_STRING:
-            row_meta.append(("link_dict", i))
-    for members in cut_members:
-        row_meta.append(("cut", tuple(members)))
+    pointers = [(i, True) for i in doc_idx] + [(i, False) for i in dict_idx]
+    columns = [_pointer_column(model, doc_base, dict_base, i, is_doc)
+               for i, is_doc in pointers]
+    links = []
+    for c, ((i, is_doc), (_, _, _, source)) in enumerate(zip(pointers, columns)):
+        if source is not None:
+            row_meta.append(("link_doc" if is_doc else "link_dict", i))
+            links.append((n_strings + c, source))
+    row_meta.extend(("cut", tuple(members)) for members in cut_members)
 
-    m = len(row_meta)
-    rows = np.zeros((m, n))
-    senses = np.empty(m, dtype=int)
-    rhs = np.zeros(m)
-    senses[:n_cov] = simplex.GE
-    for r in range(n_cov):
-        rhs[r] = 1.0 if row_meta[r][0] == "doc_cov" else 0.0
+    n = n_strings + len(pointers)
+    rows = np.zeros((len(row_meta), n))
     for cid in range(n_strings):
-        base = dict_cov_base[cid]
+        base = dict_base[cid]
         rows[base: base + cands.length(cid), cid] = -1.0
-    for col, i in enumerate(doc_idx):
-        ptr = model.doc_pointers[i]
-        base = doc_cov_base[ptr.target] + ptr.location - 1
-        rows[base: base + cands.length(ptr.source), n_strings + col] = 1.0
-    for col, i in enumerate(dict_idx):
-        ptr = model.dict_pointers[i]
-        base = dict_cov_base[ptr.target] + ptr.location - 1
-        rows[base: base + cands.length(ptr.source),
-             n_strings + len(doc_idx) + col] = 1.0
-    doc_col = {i: n_strings + c for c, i in enumerate(doc_idx)}
-    dict_col = {i: n_strings + len(doc_idx) + c for c, i in enumerate(dict_idx)}
-    for r in range(n_cov, m):
-        meta = row_meta[r]
-        senses[r] = simplex.LE
-        if meta[0] == "link_doc":
-            rhs[r] = 0.0
-            rows[r, doc_col[meta[1]]] = 1.0
-            rows[r, model.doc_pointers[meta[1]].source] = -1.0
-        elif meta[0] == "link_dict":
-            rhs[r] = 0.0
-            rows[r, dict_col[meta[1]]] = 1.0
-            rows[r, model.dict_pointers[meta[1]].source] = -1.0
-        else:
-            rhs[r] = 1.0
-            for cid in meta[1]:
-                rows[r, cid] = 1.0
-    costs = model.costs
-    objective = np.concatenate([
-        np.array(costs.string_costs, dtype=float),
-        np.array([costs.doc_costs[i] for i in doc_idx], dtype=float),
-        np.array([costs.dict_costs[i] for i in dict_idx], dtype=float),
-    ])
+    for c, (start, stop, _, _) in enumerate(columns):
+        rows[start:stop, n_strings + c] = 1.0
+    for r, (col, source) in enumerate(links, n_cov):
+        rows[r, col] = 1.0
+        rows[r, source] = -1.0
+    for r, members in enumerate(cut_members, n_cov + len(links)):
+        rows[r, members] = 1.0
+    kinds = [meta[0] for meta in row_meta]
+    senses = np.array([simplex.GE if kind.endswith("_cov") else simplex.LE
+                       for kind in kinds], dtype=int)
+    rhs = np.array([1.0 if kind in ("doc_cov", "cut") else 0.0 for kind in kinds])
+    objective = np.array(model.costs.string_costs + [col[2] for col in columns],
+                         dtype=float)
     program = simplex.LinearProgram(objective, rows, senses, rhs,
                                     np.zeros(n), np.ones(n))
-    return program, row_meta, doc_cov_base, dict_cov_base
+    return program, row_meta
 
 
-def build_lp(model: ModelInstance, cuts: bool = False,
-             classes: EquivalenceClasses | None = None) -> LPInstance:
-    cut_members = _cut_rows(model, classes) if cuts else []
-    program, row_meta, _, _ = _assemble_program(
+def dense_program(lp: LPInstance, pinned: dict[int, float] | None = None
+                  ) -> tuple[simplex.LinearProgram, list[tuple]]:
+    """The full program as one dense (rows, variables) matrix, and the name
+    of each row: ("doc_cov", doc, pos), ("dict_cov", cid, pos),
+    ("link_doc", i), ("link_dict", i) or ("cut", members).  pinned fixes
+    membership variables (lower = upper = value).  This is the reference
+    form for simplex.solve; its matrix grows as rows x variables, so the
+    compression path never builds it."""
+    model = lp.model
+    program, row_meta = _assemble_program(
         model, list(range(len(model.doc_pointers))),
-        list(range(len(model.dict_pointers))), cut_members)
-    return LPInstance(model, program, len(model.candidates),
-                      len(model.doc_pointers), len(model.dict_pointers),
-                      row_meta, cuts)
-
-
-def add_equivalence_cuts(lp: LPInstance, classes: EquivalenceClasses) -> LPInstance:
-    if lp.cuts:
-        return lp
-    return build_lp(lp.model, cuts=True, classes=classes)
+        list(range(len(model.dict_pointers))), lp.cut_members)
+    for cid, value in (pinned or {}).items():
+        program.lower[cid] = program.upper[cid] = value
+    return program, row_meta
 
 
 def check_coverable(model: ModelInstance) -> None:
@@ -268,17 +264,15 @@ def _colgen_solve(model: ModelInstance, cut_members: list[list[int]]):
                   if cands.length(p.source) == 1}
     active_doc |= _seed_columns(model.doc_pointers, cands.length)
     # dictionary coverage is always satisfiable through the character
-    # slots; string-kind seeds are worthwhile only while they keep the
-    # starting program small
+    # slots; the string-kind seeds start the restricted program with the
+    # long columns there as well
     active_dict = {i for i, p in enumerate(model.dict_pointers)
                    if p.kind == DICT_CHAR}
-    dict_seeds = _seed_columns(model.dict_pointers, cands.length) - active_dict
-    if len(dict_seeds) <= 200:
-        active_dict |= dict_seeds
+    active_dict |= _seed_columns(model.dict_pointers, cands.length)
     doc_idx = sorted(active_doc)
     dict_idx = sorted(active_dict)
-    program, _, doc_base, dict_base = _assemble_program(
-        model, doc_idx, dict_idx, cut_members)
+    program, _ = _assemble_program(model, doc_idx, dict_idx, cut_members)
+    _, doc_base, dict_base = _coverage_rows(model)
     session = simplex.IncrementalSolver(program, _crash_vector(model, doc_idx, dict_idx))
     # struct column registry: membership variables first, then pointers in
     # activation order
@@ -291,22 +285,17 @@ def _colgen_solve(model: ModelInstance, cut_members: list[list[int]]):
             raise NumericalFailure(f"restricted program came back {status}")
         y = session.duals()
         new_by_target: dict[tuple, list[tuple[float, int, bool]]] = {}
-        for i, ptr in enumerate(model.doc_pointers):
-            if i in active_doc:
-                continue
-            base = doc_base[ptr.target] + ptr.location - 1
-            slack = y[base: base + cands.length(ptr.source)].sum() \
-                - model.costs.doc_costs[i]
-            if slack > 1e-9:
-                new_by_target.setdefault(("doc", ptr.target), []).append((slack, i, True))
-        for i, ptr in enumerate(model.dict_pointers):
-            if i in active_dict:
-                continue
-            base = dict_base[ptr.target] + ptr.location - 1
-            slack = y[base: base + cands.length(ptr.source)].sum() \
-                - model.costs.dict_costs[i]
-            if slack > 1e-9:
-                new_by_target.setdefault(("str", ptr.target), []).append((slack, i, False))
+        for is_doc, pointers, active in ((True, model.doc_pointers, active_doc),
+                                         (False, model.dict_pointers, active_dict)):
+            for i, ptr in enumerate(pointers):
+                if i in active:
+                    continue
+                start, stop, cost, _ = _pointer_column(model, doc_base, dict_base,
+                                                       i, is_doc)
+                slack = y[start:stop].sum() - cost
+                if slack > 1e-9:
+                    new_by_target.setdefault((is_doc, ptr.target), []).append(
+                        (slack, i, is_doc))
         if not new_by_target:
             values = np.zeros(n_strings + len(model.doc_pointers)
                               + len(model.dict_pointers))
@@ -324,24 +313,18 @@ def _colgen_solve(model: ModelInstance, cut_members: list[list[int]]):
             for _, i, is_doc in entries[:COLGEN_BATCH]:
                 added.append((i, is_doc))
                 (active_doc if is_doc else active_dict).add(i)
-        m_now = len(session.senses)
         n_struct_before = len(session.struct_cols)
-        cols = np.zeros((m_now, len(added)))
+        cols = np.zeros((len(session.senses), len(added)))
         costs = np.empty(len(added))
         link_rows = []
         for c, (i, is_doc) in enumerate(added):
-            ptr = model.doc_pointers[i] if is_doc else model.dict_pointers[i]
-            if is_doc:
-                base = doc_base[ptr.target] + ptr.location - 1
-                costs[c] = model.costs.doc_costs[i]
-                doc_pos[i] = n_struct_before + c
-            else:
-                base = dict_base[ptr.target] + ptr.location - 1
-                costs[c] = model.costs.dict_costs[i]
-                dict_pos[i] = n_struct_before + c
-            cols[base: base + cands.length(ptr.source), c] = 1.0
-            if is_doc or ptr.kind == DICT_STRING:
-                link_rows.append((n_struct_before + c, ptr.source))
+            start, stop, cost, source = _pointer_column(model, doc_base, dict_base,
+                                                        i, is_doc)
+            cols[start:stop, c] = 1.0
+            costs[c] = cost
+            (doc_pos if is_doc else dict_pos)[i] = n_struct_before + c
+            if source is not None:
+                link_rows.append((n_struct_before + c, source))
         rows = np.zeros((len(link_rows), n_struct_before + len(added)))
         for r, (col_pos, src) in enumerate(link_rows):
             rows[r, col_pos] = 1.0
@@ -352,19 +335,12 @@ def _colgen_solve(model: ModelInstance, cut_members: list[list[int]]):
 
 def solve_lp(lp: LPInstance) -> LPSolution:
     """Optimal solution of the instance's relaxation, by column generation
-    over its model and cut rows.  lp.program is the dense reference form of
-    the same program; column generation cannot honour bounds pinned in it
-    (fixing_strings), so such instances are rejected."""
-    prog = lp.program
-    if np.any(prog.lower != 0.0) or np.any(prog.upper != 1.0):
-        raise InvalidParam("solve_lp keeps every variable in [0, 1]; solve a "
-                           "program with pinned variables with simplex.solve")
+    over its model and cut rows."""
     if not lp.model.costs.nonnegative():
         raise InvalidParam("the simplex path requires nonnegative costs; "
                            "negative-cost landmarks are solved by inspection")
     check_coverable(lp.model)
-    cut_members = [list(meta[1]) for meta in lp.row_meta if meta[0] == "cut"]
-    values, objective, iterations = _colgen_solve(lp.model, cut_members)
+    values, objective, iterations = _colgen_solve(lp.model, lp.cut_members)
     return LPSolution(values, objective, "optimal", {"iterations": iterations}, lp)
 
 
@@ -633,27 +609,3 @@ def exact_solve(model: ModelInstance, limit: int = 12,
                        tuple(model.dict_pointers[i] for i in dict_idx),
                        best[0])
 
-
-def lp_text(lp: LPInstance) -> str:
-    """Dump in a plain LP interchange format for external cross-checks."""
-    prog = lp.program
-    names = ([f"t{c}" for c in range(lp.n_strings)]
-             + [f"wd{i}" for i in range(lp.n_doc)]
-             + [f"wp{i}" for i in range(lp.n_dict)])
-    lines = ["Minimize", " obj: " + " + ".join(
-        f"{prog.objective[j]:.12g} {names[j]}" for j in range(lp.n_vars)
-        if prog.objective[j] != 0.0)]
-    lines.append("Subject To")
-    sense_txt = {simplex.LE: "<=", simplex.EQ: "=", simplex.GE: ">="}
-    for r in range(prog.rows.shape[0]):
-        terms = []
-        for j in np.flatnonzero(prog.rows[r]):
-            coef = prog.rows[r, j]
-            terms.append(f"{'+' if coef > 0 else '-'} {abs(coef):.12g} {names[j]}")
-        lines.append(f" r{r}: " + " ".join(terms)
-                     + f" {sense_txt[int(prog.senses[r])]} {prog.rhs[r]:.12g}")
-    lines.append("Bounds")
-    for j in range(lp.n_vars):
-        lines.append(f" {prog.lower[j]:.12g} <= {names[j]} <= {prog.upper[j]:.12g}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -104,7 +104,7 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
             comp = shallow
     _assert_valid(comp, model)
     report = _report("lp+round", solution, comp, model, n_vars,
-                     lp.program.rows.shape[0], solution.basis_summary["iterations"])
+                     lp.n_rows, solution.basis_summary["iterations"])
     return comp, report, model
 
 

@@ -334,6 +334,9 @@ class IncrementalSolver:
         rhs.  New columns start at bounds [0, 1]; the current solution must
         satisfy the new rows."""
         tab = self.tab
+        # the pivot buffer is tableau-sized; release it before the grown
+        # tableau is built (it is reallocated at the new size below)
+        tab._scratch = None
         k = cols.shape[1]
         if k:
             cols_norm = np.array(cols, dtype=float)

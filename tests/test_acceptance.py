@@ -15,7 +15,7 @@ from deepdict.corpus import CHAR, enumerate_candidates, equivalence_classes, ing
 from deepdict.features import dict_matrix, diffuse, feature_space, top_features
 from deepdict.learn import (LabeledMatrix, accuracy_over_resamples,
                             invariance_check, synthetic_phrase_corpus)
-from deepdict.lp import build_lp, exact_solve, solve_lp
+from deepdict.lp import build_lp, dense_program, exact_solve, solve_lp
 from deepdict.model import DICT_CHAR, build_model
 from deepdict.pipeline import CompressJob, bon_compress, compress, path_sweep
 from deepdict.recon import Interval, ReconInstance, solve_dp, solve_flow, solve_fractional, to_flow
@@ -124,8 +124,8 @@ def test_criterion_3_integrality_and_flow_agreement():
         model = build_model(corpus, candidates, 0.0, 1.0, 1.0)
         fixed = {cid: (1.0 if candidates.length(cid) == 1 or rng.random() < 0.5
                        else 0.0) for cid in range(len(candidates))}
-        lp = build_lp(model).fixing_strings(fixed)
-        result = simplex.solve(lp.program)
+        program, _ = dense_program(build_lp(model), pinned=fixed)
+        result = simplex.solve(program)
         assert result.status == "optimal"
         snapped = np.round(result.x)
         assert np.max(np.abs(result.x - snapped)) <= 1e-6

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from deepdict import simplex
 from deepdict.corpus import CHAR, enumerate_candidates, equivalence_classes, ingest
 from deepdict.errors import Infeasible, InvalidParam, TooLarge
-from deepdict.lp import (build_lp, compression_errors, exact_solve, lp_text,
+from deepdict.lp import (build_lp, compression_errors, dense_program, exact_solve,
                          prune_descent, round_to_compression, solve_lp)
 from deepdict.model import build_model
 from deepdict.recon import Interval, ReconInstance, solve_dp
@@ -22,24 +23,38 @@ def model_for(texts, max_len, min_count, tau=0.0, lam=1.0, alpha=1.0, **kwargs):
     return build_model(corpus, candidates, tau, lam, alpha, **kwargs)
 
 
+def dense_rows(lp):
+    """Row kinds of the dense reference, after checking that the instance
+    counts the same rows without building it."""
+    program, row_meta = dense_program(lp)
+    assert lp.n_rows == program.rows.shape[0] == len(row_meta)
+    assert lp.n_vars == program.rows.shape[1]
+    return [meta[0] for meta in row_meta]
+
+
 def test_layout_counts_run_of_a():
     model = model_for(["aaaa"], 4, 2)  # candidates a, aa, aaa
     lp = build_lp(model)
     assert lp.n_vars == 3 + 9 + 8 == 20
-    kinds = [meta[0] for meta in lp.row_meta]
+    kinds = dense_rows(lp)
     assert kinds.count("doc_cov") == 4
     assert kinds.count("dict_cov") == 6
     assert kinds.count("link_doc") == 9
     assert kinds.count("link_dict") == 2
-    assert lp.program.rows.shape == (21, 20)
+    assert lp.n_rows == 21
+    # the character-only model drops the string-kind pointers and their
+    # linking rows
+    cfl = build_lp(model_for(["aaaa"], 4, 2, cfl_mode=True))
+    kinds = dense_rows(cfl)
+    assert kinds.count("link_dict") == 0
+    assert cfl.n_rows == 4 + 6 + 9 == 19
 
 
 def test_layout_counts_single_symbol():
     model = model_for(["x"], 1, 1)
     lp = build_lp(model)
     assert lp.n_vars == 3
-    kinds = [meta[0] for meta in lp.row_meta]
-    assert kinds == ["doc_cov", "dict_cov", "link_doc"]
+    assert dense_rows(lp) == ["doc_cov", "dict_cov", "link_doc"]
 
 
 def test_lp_value_and_rounding_on_a4():
@@ -58,11 +73,31 @@ def test_lp_value_and_rounding_on_a4():
     assert comp.objective == pytest.approx(4.0, abs=1e-9)
 
 
+def test_build_lp_allocates_no_dense_matrix():
+    # the 10-document corpus ladder: its full program is 1056 x 980, a
+    # 7.9 MiB dense matrix that the instance must not materialise
+    rng = random.Random(0)
+    words = ("abra", "cad", "abra", "xyz", "ab", "ra", "ca", "dab")
+    texts = ["".join(rng.choice(words) for _ in range(rng.randint(3, 6)))
+             for _ in range(10)]
+    model = model_for(texts, 4, 2)
+    classes = equivalence_classes(model.candidates, model.corpus)
+    for cuts in (False, True):
+        tracemalloc.start()
+        try:
+            lp = build_lp(model, cuts=cuts, classes=classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert lp.n_rows == 1056 + len(lp.cut_members)
+
+
 def test_solution_satisfies_rows():
     model = model_for(["abcabc"], 3, 1)
     lp = build_lp(model)
     solution = solve_lp(lp)
-    prog = lp.program
+    prog, _ = dense_program(lp)
     ax = prog.rows @ solution.values
     ge = prog.senses == 1
     le = prog.senses == -1
@@ -83,17 +118,9 @@ def test_solve_lp_matches_dense_reference(n_docs, length):
     model = model_for(texts, 4, 1)
     for cuts in (False, True):
         lp = build_lp(model, cuts=cuts)
-        reference = simplex.solve(lp.program)
+        reference = simplex.solve(dense_program(lp)[0])
         assert reference.status == "optimal"
         assert solve_lp(lp).objective == pytest.approx(reference.objective, abs=1e-7)
-
-
-def test_solve_lp_rejects_pinned_bounds():
-    # the pinned program's optimum is 5, the free relaxation's 3.3; the
-    # column-generation solve cannot honour the pins, so it must refuse
-    model = model_for(["aaaa"], 4, 1)
-    with pytest.raises(InvalidParam):
-        solve_lp(build_lp(model).fixing_strings({1: 0.0, 2: 0.0, 3: 0.0}))
 
 
 def test_infeasible_when_filter_removes_a_position():
@@ -129,8 +156,8 @@ def test_fixed_binary_membership_gives_integral_solution():
             fixed[cid] = 1.0 if keep else 0.0
             if keep:
                 members.add(cid)
-        lp = build_lp(model).fixing_strings(fixed)
-        result = simplex.solve(lp.program)
+        program, _ = dense_program(build_lp(model), pinned=fixed)
+        result = simplex.solve(program)
         assert result.status == "optimal"
         snapped = np.round(result.x)
         assert np.max(np.abs(result.x - snapped)) <= SNAP
@@ -199,31 +226,23 @@ def test_cut_rows_on_abab():
     model = model_for(["abab"], 4, 1)
     classes = equivalence_classes(model.candidates, model.corpus)
     lp = build_lp(model, cuts=True, classes=classes)
-    cut_rows = [meta for meta in lp.row_meta if meta[0] == "cut"]
-    assert len(cut_rows) == 3
-
-
-def test_add_equivalence_cuts_matches_cut_build():
-    from deepdict.lp import add_equivalence_cuts
-
-    model = model_for(["abab"], 4, 1)
-    classes = equivalence_classes(model.candidates, model.corpus)
-    plain = build_lp(model)
-    with_cuts = add_equivalence_cuts(plain, classes)
-    direct = build_lp(model, cuts=True, classes=classes)
-    assert with_cuts.program.rows.shape == direct.program.rows.shape
-    assert with_cuts.cuts
-    # already-tightened instances pass through unchanged
-    assert add_equivalence_cuts(with_cuts, classes) is with_cuts
+    assert dense_rows(lp).count("cut") == 3
+    assert lp.n_rows == build_lp(model).n_rows + 3
+    # classes computed inside build_lp give the same cuts
+    assert build_lp(model, cuts=True).cut_members == lp.cut_members
+    cfl = build_lp(model_for(["abab"], 4, 1, cfl_mode=True), cuts=True,
+                   classes=classes)
+    assert dense_rows(cfl).count("cut") == 3
 
 
 def test_cut_rows_absent_for_singleton_classes():
     model = model_for(["aaaa"], 4, 2)
     classes = equivalence_classes(model.candidates, model.corpus)
     lp = build_lp(model, cuts=True, classes=classes)
-    assert not [meta for meta in lp.row_meta if meta[0] == "cut"]
+    assert "cut" not in dense_rows(lp)
     plain = build_lp(model)
-    assert lp.program.rows.shape == plain.program.rows.shape
+    assert lp.n_rows == plain.n_rows
+    assert dense_program(lp)[0].rows.shape == dense_program(plain)[0].rows.shape
 
 
 def test_cuts_require_symmetric_scheme():
@@ -298,10 +317,3 @@ def test_prune_descent_never_worsens():
         improved = prune_descent(raw, model)
         assert improved.objective <= raw.objective + 1e-12
         assert not compression_errors(improved, model)
-
-
-def test_lp_text_dump():
-    model = model_for(["x"], 1, 1)
-    text = lp_text(build_lp(model))
-    assert text.startswith("Minimize")
-    assert "Subject To" in text and "Bounds" in text and text.endswith("End\n")
