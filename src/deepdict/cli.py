@@ -22,7 +22,7 @@ from .errors import DeepdictError, DimensionMismatch, NumericalFailure
 from .features import (dag_export, dict_matrix, diffuse, feature_space,
                        fractional_features, stats, top_features, write_dag,
                        write_matrix, write_names)
-from .lp import exact_solve
+from .lp import exact_solve, intervals
 from .pipeline import CompressJob, bon_compress, build_job_model, compress, path_sweep
 
 USAGE_EXIT = 1
@@ -288,20 +288,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_recon(args: argparse.Namespace) -> int:
     from .errors import InvalidParam
-    from .recon import Interval, ReconInstance, solve_dp
+    from .recon import ReconInstance, solve_dp
 
     corpus = read_corpus(args.input, args.mode)
     model = build_job_model(_job(args, corpus))
     if not 0 <= args.doc < len(corpus.docs):
         raise InvalidParam(f"no document {args.doc}")
-    intervals = [Interval(p.location, model.candidates.length(p.source),
-                          model.costs.doc_costs[i], i)
-                 for i, p in enumerate(model.doc_pointers)
-                 if p.target == args.doc]
-    instance = ReconInstance(corpus.docs[args.doc].symbols, intervals)
+    ivs = intervals(model, set(range(len(model.candidates))))[0][args.doc]
+    instance = ReconInstance(corpus.docs[args.doc].symbols, ivs)
     print(f"target: {corpus.doc_text(args.doc)}")
-    print(f"intervals: {len(intervals)}")
-    for iv in intervals:
+    print(f"intervals: {len(ivs)}")
+    for iv in ivs:
         src = model.corpus.render(
             model.candidates.strings[model.doc_pointers[iv.pointer].source])
         print(f"  @{iv.start} len={iv.length} cost={iv.cost:.9g} {src}")

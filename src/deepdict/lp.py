@@ -30,8 +30,8 @@ import numpy as np
 from . import simplex
 from .corpus import EquivalenceClasses, equivalence_classes
 from .errors import Infeasible, InvalidParam, NumericalFailure, TooLarge
-from .model import (CONSTANT_DICT_COST, DICT_CHAR, DICT_STRING, DOCUMENT,
-                    ModelInstance, Pointer)
+from .model import (CONSTANT_DICT_COST, DICT_CHAR, DICT_STRING, ModelInstance,
+                    Pointer, pointer_is_valid)
 from .recon import Interval, ReconInstance, solve_dp
 
 ROUND_EPS = 1e-6
@@ -196,19 +196,13 @@ def dense_program(lp: LPInstance, pinned: dict[int, float] | None = None
 
 def check_coverable(model: ModelInstance) -> None:
     """Every document position must admit at least one pointer, which holds
-    exactly when every unigram on that position survived the count filter."""
+    exactly when the unigram on that position survived the count filter:
+    no longer n-gram through it occurs more often than the unigram."""
     for doc in model.corpus.docs:
-        covered = [False] * len(doc)
-        for ptr in model.doc_pointers:
-            if ptr.target != doc.id:
-                continue
-            length = model.candidates.length(ptr.source)
-            for pos in range(ptr.location - 1, ptr.location - 1 + length):
-                covered[pos] = True
-        for pos, ok in enumerate(covered):
-            if not ok:
+        for pos, sym in enumerate(doc.symbols, start=1):
+            if (sym,) not in model.candidates.index:
                 raise Infeasible(
-                    f"document {doc.id} position {pos + 1} has no covering pointer; "
+                    f"document {doc.id} position {pos} has no covering pointer; "
                     f"the min-count filter (m={model.candidates.min_count}) removed "
                     "every candidate there")
 
@@ -359,38 +353,38 @@ class Compression:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _doc_intervals(model: ModelInstance, doc_id: int, members: set[int]) -> list[Interval]:
-    out = []
+def intervals(model: ModelInstance, members: set[int]
+              ) -> tuple[list[list[Interval]], dict[int, list[Interval]]]:
+    """The intervals each reconstruction may use under the dictionary
+    members, in one pass over each pointer list: per document (indexed by
+    doc id), its pointers with a member source; per member string (in id
+    order), its character slots and its pointers with a member source.
+    Each list keeps the model's pointer order, which solve_dp's
+    tie-breaking depends on."""
+    length = model.candidates.length
+    doc_iv: list[list[Interval]] = [[] for _ in model.corpus.docs]
     for i, ptr in enumerate(model.doc_pointers):
-        if ptr.target == doc_id and ptr.source in members:
-            out.append(Interval(ptr.location, model.candidates.length(ptr.source),
-                                model.costs.doc_costs[i], i))
-    return out
-
-
-def _dict_intervals(model: ModelInstance, cid: int, members: set[int]) -> list[Interval]:
-    out = []
+        if ptr.source in members:
+            doc_iv[ptr.target].append(Interval(ptr.location, length(ptr.source),
+                                               model.costs.doc_costs[i], i))
+    dict_iv: dict[int, list[Interval]] = {cid: [] for cid in sorted(members)}
     for i, ptr in enumerate(model.dict_pointers):
-        if ptr.target != cid or ptr.kind == DOCUMENT:
-            continue
-        if ptr.kind == DICT_STRING and ptr.source not in members:
-            continue
-        out.append(Interval(ptr.location, model.candidates.length(ptr.source),
-                            model.costs.dict_costs[i], i))
-    return out
+        if ptr.target in dict_iv and (ptr.kind == DICT_CHAR or ptr.source in members):
+            dict_iv[ptr.target].append(Interval(ptr.location, length(ptr.source),
+                                                model.costs.dict_costs[i], i))
+    return doc_iv, dict_iv
 
 
 def _solve_members(model: ModelInstance,
                    members: set[int]) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    doc_iv, dict_iv = intervals(model, members)
     doc_chosen: list[int] = []
     for doc in model.corpus.docs:
-        result = solve_dp(ReconInstance(doc.symbols,
-                                        _doc_intervals(model, doc.id, members)))
+        result = solve_dp(ReconInstance(doc.symbols, doc_iv[doc.id]))
         doc_chosen.extend(result.chosen)
     dict_chosen: dict[int, tuple[int, ...]] = {}
-    for cid in sorted(members):
-        result = solve_dp(ReconInstance(model.candidates.strings[cid],
-                                        _dict_intervals(model, cid, members)))
+    for cid, ivs in dict_iv.items():
+        result = solve_dp(ReconInstance(model.candidates.strings[cid], ivs))
         dict_chosen[cid] = result.chosen
     return doc_chosen, dict_chosen
 
@@ -469,23 +463,32 @@ def prune_descent(comp: Compression, model: ModelInstance) -> Compression:
         members = set(best.dictionary)
 
 
+def price(comp: Compression, model: ModelInstance) -> float:
+    """The compression's objective under the model's costs; a pointer
+    outside the model's universe raises KeyError."""
+    doc_idx = {ptr: i for i, ptr in enumerate(model.doc_pointers)}
+    dict_idx = {ptr: i for i, ptr in enumerate(model.dict_pointers)}
+    return (sum(model.costs.string_costs[cid] for cid in comp.dictionary)
+            + sum(model.costs.doc_costs[doc_idx[p]] for p in comp.doc_pointers)
+            + sum(model.costs.dict_costs[dict_idx[p]] for p in comp.dict_pointers))
+
+
 def compression_errors(comp: Compression, model: ModelInstance) -> list[str]:
     """Full validity check: coverage of documents and dictionary strings,
     membership of every string-using pointer source, proper-substring rule,
     acyclicity, and the recorded objective."""
-    from .model import pointer_is_valid
-
     errors = []
     members = set(comp.dictionary)
     for ptr in comp.doc_pointers + comp.dict_pointers:
         if not pointer_is_valid(ptr, model.corpus, model.candidates):
             errors.append(f"invalid pointer {ptr}")
-    for doc in model.corpus.docs:
-        covered = set()
-        for ptr in comp.doc_pointers:
-            if ptr.target == doc.id:
-                covered.update(range(ptr.location,
-                                     ptr.location + model.candidates.length(ptr.source)))
+    # indexed by target as pointer_is_valid indexes the corpus, so a target
+    # that got past it has a slot
+    doc_covered: list[set[int]] = [set() for _ in model.corpus.docs]
+    for ptr in comp.doc_pointers:
+        doc_covered[ptr.target].update(
+            range(ptr.location, ptr.location + model.candidates.length(ptr.source)))
+    for doc, covered in zip(model.corpus.docs, doc_covered):
         if covered != set(range(1, len(doc) + 1)):
             errors.append(f"document {doc.id} not fully reconstructed")
     by_target: dict[int, set[int]] = {cid: set() for cid in members}
@@ -507,16 +510,13 @@ def compression_errors(comp: Compression, model: ModelInstance) -> list[str]:
                 errors.append(f"string pointer uses non-member source {ptr}")
             if model.candidates.length(ptr.source) >= model.candidates.length(ptr.target):
                 errors.append(f"string pointer source not a proper substring {ptr}")
-    recorded = (sum(model.costs.string_costs[cid] for cid in members))
-    doc_idx = {ptr: i for i, ptr in enumerate(model.doc_pointers)}
-    dict_idx = {ptr: i for i, ptr in enumerate(model.dict_pointers)}
     try:
-        recorded += sum(model.costs.doc_costs[doc_idx[p]] for p in comp.doc_pointers)
-        recorded += sum(model.costs.dict_costs[dict_idx[p]] for p in comp.dict_pointers)
-        if abs(recorded - comp.objective) > 1e-6:
-            errors.append(f"objective mismatch: {recorded} vs {comp.objective}")
+        recorded = price(comp, model)
     except KeyError:
         errors.append("compression contains pointers outside the model universe")
+    else:
+        if abs(recorded - comp.objective) > 1e-6:
+            errors.append(f"objective mismatch: {recorded} vs {comp.objective}")
     return errors
 
 
@@ -534,10 +534,7 @@ def exact_solve(model: ModelInstance, limit: int = 12,
         raise InvalidParam("exact_solve requires nonnegative costs")
     check_coverable(model)
 
-    doc_iv = {doc.id: _doc_intervals(model, doc.id, set(range(ncand)))
-              for doc in model.corpus.docs}
-    dict_iv = {cid: _dict_intervals(model, cid, set(range(ncand)))
-               for cid in range(ncand)}
+    doc_iv, dict_iv = intervals(model, set(range(ncand)))
     cover_mask = {doc.id: [0] * ncand for doc in model.corpus.docs}
     for doc in model.corpus.docs:
         for iv in doc_iv[doc.id]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from .corpus import Corpus, enumerate_candidates, equivalence_classes
 from .errors import InvalidParam
 from .features import stats
-from .lp import (Compression, build_lp, compression_errors, exact_solve,
+from .lp import (Compression, build_lp, compression_errors, exact_solve, price,
                  round_to_compression, solve_lp)
 from .model import (CONSTANT_DICT_COST, DICT_CHAR, ModelInstance,
                     bon_landmark_costs, build_model, build_pointers)
@@ -116,13 +116,8 @@ def _shallow_rounding(job: CompressJob, model: ModelInstance) -> Compression:
                              dict_cost_mode=job.dict_cost_mode)
     solution = solve_lp(build_lp(restricted, cuts=job.cuts))
     comp = round_to_compression(solution, restricted)
-    doc_idx = {ptr: i for i, ptr in enumerate(model.doc_pointers)}
-    dict_idx = {ptr: i for i, ptr in enumerate(model.dict_pointers)}
-    objective = (sum(model.costs.string_costs[cid] for cid in comp.dictionary)
-                 + sum(model.costs.doc_costs[doc_idx[p]] for p in comp.doc_pointers)
-                 + sum(model.costs.dict_costs[dict_idx[p]] for p in comp.dict_pointers))
     return Compression(comp.dictionary, comp.doc_pointers, comp.dict_pointers,
-                       objective)
+                       price(comp, model))
 
 
 def _assert_valid(comp: Compression, model: ModelInstance) -> None:

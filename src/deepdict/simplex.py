@@ -335,47 +335,40 @@ class IncrementalSolver:
         satisfy the new rows."""
         tab = self.tab
         # the pivot buffer is tableau-sized; release it before the grown
-        # tableau is built (it is reallocated at the new size below)
+        # tableau is allocated (it is reallocated at the new size below)
         tab._scratch = None
-        k = cols.shape[1]
-        if k:
-            cols_norm = np.array(cols, dtype=float)
-            cols_norm[self.senses == GE] *= -1.0
-            t_new = tab.T[:, self.slack_cols] @ cols_norm
-            first = tab.ncols
-            tab.T = np.ascontiguousarray(np.hstack([tab.T, t_new]))
-            tab.lower = np.concatenate([tab.lower, np.zeros(k)])
-            tab.upper = np.concatenate([tab.upper, np.ones(k)])
-            tab.vstat = np.concatenate([tab.vstat,
-                                        np.full(k, AT_LOWER, dtype=np.int8)])
-            tab.ncols += k
-            self.struct_cols.extend(range(first, first + k))
-            self.objective_vec = np.concatenate([self.objective_vec, col_costs])
-        r = rows_struct.shape[0]
+        m, n = tab.m, tab.ncols
+        k, r = cols.shape[1], rows_struct.shape[0]
         if r:
-            current = self.values()
-            sigma = np.zeros((r, tab.ncols + r))
-            sigma[:, self.struct_cols] = rows_struct
-            sigma[:, tab.ncols:] = np.eye(r)
+            # new columns enter at their lower bound 0
+            current = np.concatenate([self.values(), np.zeros(k)])
             slack_vals = rhs - rows_struct @ current
             if np.any(slack_vals < -FEAS_TOL):
                 raise NumericalFailure("appended row violated at the current point")
-            bottom = sigma[:, :tab.ncols] \
-                - sigma[:, :tab.ncols][:, tab.basic] @ tab.T
-            tab.T = np.ascontiguousarray(
-                np.vstack([np.hstack([tab.T, np.zeros((tab.m, r))]),
-                           np.hstack([bottom, np.eye(r)])]))
-            first = tab.ncols
-            tab.ncols += r
-            tab.m += r
-            tab.lower = np.concatenate([tab.lower, np.zeros(r)])
-            tab.upper = np.concatenate([tab.upper, np.full(r, np.inf)])
-            tab.vstat = np.concatenate([tab.vstat,
-                                        np.full(r, BASIC, dtype=np.int8)])
-            tab.basic = np.concatenate([tab.basic,
-                                        np.arange(first, first + r)])
+        cols_norm = np.array(cols, dtype=float)
+        cols_norm[self.senses == GE] *= -1.0
+        t_new = tab.T[:, self.slack_cols] @ cols_norm
+        # the grown tableau is allocated once: [[T, t_new, 0], [bottom, I]]
+        T = np.zeros((m + r, n + k + r))
+        T[:m, :n] = tab.T
+        T[:m, n:n + k] = t_new
+        tab.T = T
+        tab.lower = np.concatenate([tab.lower, np.zeros(k + r)])
+        tab.upper = np.concatenate([tab.upper, np.ones(k), np.full(r, np.inf)])
+        tab.vstat = np.concatenate([tab.vstat, np.full(k, AT_LOWER, dtype=np.int8),
+                                    np.full(r, BASIC, dtype=np.int8)])
+        tab.ncols += k + r
+        tab.m += r
+        self.struct_cols.extend(range(n, n + k))
+        self.objective_vec = np.concatenate([self.objective_vec, col_costs])
+        if r:
+            bottom = T[m:, :n + k]
+            bottom[:, self.struct_cols] = rows_struct
+            bottom -= bottom[:, tab.basic] @ T[:m, :n + k]
+            T[m:, n + k:] = np.eye(r)
+            tab.basic = np.concatenate([tab.basic, np.arange(n + k, n + k + r)])
             tab.xB = np.concatenate([tab.xB, np.maximum(slack_vals, 0.0)])
-            self.slack_cols.extend(range(first, first + r))
+            self.slack_cols.extend(range(n + k, n + k + r))
             self.senses = np.concatenate([self.senses, np.full(r, LE)])
         tab._scratch = np.empty_like(tab.T)
 

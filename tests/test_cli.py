@@ -269,5 +269,11 @@ def test_recon_debug_command(tmp_path, capsys):
     assert cli.main(["recon", inp, "--min-count", "1", "--doc", "0"]) == 0
     out = capsys.readouterr().out
     assert "target: abab" in out
+    # every occurrence in the document, in pointer order (location, source)
+    listed = out.split("intervals: 10\n")[1].split("cover_cost")[0]
+    assert listed.split("\n")[:-1] == [
+        f"  @{start} len={len(src)} cost=1 {src}"
+        for start, src in [(1, "a"), (1, "ab"), (1, "aba"), (1, "abab"), (2, "b"),
+                           (2, "ba"), (2, "bab"), (3, "a"), (3, "ab"), (4, "b")]]
     assert "cover_cost: 1" in out  # the whole document is a candidate at m=1
     assert cli.main(["recon", inp, "--min-count", "1", "--doc", "7"]) == 2

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from deepdict import simplex
 from deepdict.corpus import CHAR, enumerate_candidates, equivalence_classes, ingest
 from deepdict.errors import Infeasible, InvalidParam, TooLarge
-from deepdict.lp import (build_lp, compression_errors, dense_program, exact_solve,
-                         prune_descent, round_to_compression, solve_lp)
-from deepdict.model import build_model
+from deepdict.lp import (build_lp, check_coverable, compression_errors, dense_program,
+                         exact_solve, intervals, prune_descent, round_to_compression,
+                         solve_lp)
+from deepdict.model import DICT_STRING, Pointer, build_model
 from deepdict.recon import Interval, ReconInstance, solve_dp
 
 from oracles import naive_exact
@@ -126,8 +128,63 @@ def test_solve_lp_matches_dense_reference(n_docs, length):
 def test_infeasible_when_filter_removes_a_position():
     # 'c' occurs once, so min_count=2 leaves its position uncoverable
     model = model_for(["abcab"], 3, 2)
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match="document 0 position 3"):
         solve_lp(build_lp(model))
+
+
+def test_check_coverable_matches_pointer_cover():
+    """check_coverable reads only the unigrams; it must raise exactly when
+    some document position has no covering pointer, naming the first."""
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(30):
+        # at least 6 symbols over 4 letters, so some unigram survives m=2
+        texts = ["".join(rng.choice("abcd") for _ in range(rng.randint(3, 7)))
+                 for _ in range(rng.randint(2, 4))]
+        model = model_for(texts, 3, rng.randint(1, 2))
+        uncovered = []
+        for doc in model.corpus.docs:
+            covered = set()
+            for ptr in model.doc_pointers:
+                if ptr.target == doc.id:
+                    covered.update(range(ptr.location, ptr.location
+                                         + model.candidates.length(ptr.source)))
+            uncovered += [(doc.id, pos) for pos in range(1, len(doc) + 1)
+                          if pos not in covered]
+        if uncovered:
+            raised += 1
+            with pytest.raises(Infeasible,
+                               match="document %d position %d " % uncovered[0]):
+                check_coverable(model)
+        else:
+            check_coverable(model)
+    assert 0 < raised < 30
+
+
+@pytest.mark.parametrize("cfl_mode", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_intervals_match_per_target_filter(seed, cfl_mode):
+    rng = random.Random(seed)
+    texts = ["".join(rng.choice("abc") for _ in range(rng.randint(3, 9)))
+             for _ in range(4)]
+    model = model_for(texts, 4, 2, cfl_mode=cfl_mode)
+    length = model.candidates.length
+    n = len(model.candidates)
+    subsets = [set(range(n)), set()]
+    subsets += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(6)]
+    for members in subsets:
+        doc_iv, dict_iv = intervals(model, members)
+        assert doc_iv == [
+            [Interval(p.location, length(p.source), model.costs.doc_costs[i], i)
+             for i, p in enumerate(model.doc_pointers)
+             if p.target == doc.id and p.source in members]
+            for doc in model.corpus.docs]
+        assert list(dict_iv) == sorted(members)
+        for cid in members:
+            assert dict_iv[cid] == [
+                Interval(p.location, length(p.source), model.costs.dict_costs[i], i)
+                for i, p in enumerate(model.dict_pointers)
+                if p.target == cid and (p.kind != DICT_STRING or p.source in members)]
 
 
 def test_negative_costs_rejected_by_solver():
@@ -269,6 +326,48 @@ def test_cuts_preserve_exact_optimum_and_tighten_lp():
         lp_cut = solve_lp(build_lp(model, cuts=True, classes=classes))
         assert lp_cut.objective >= lp_plain.objective - 1e-7
         assert lp_cut.objective <= plain.objective + 1e-7
+
+
+def _drop_doc_pointer(comp, model):
+    return replace(comp, doc_pointers=comp.doc_pointers[1:])
+
+
+def _drop_used_member(comp, model):
+    # "ab" (id 3) builds "abc" and document 1's tail
+    return replace(comp, dictionary=tuple(c for c in comp.dictionary if c != 3))
+
+
+def _target_non_member(comp, model):
+    ptr = next(p for p in model.dict_pointers if p.target not in comp.dictionary)
+    return replace(comp, dict_pointers=comp.dict_pointers + (ptr,))
+
+
+def _change_objective(comp, model):
+    return replace(comp, objective=comp.objective + 1.0)
+
+
+def _outside_universe(comp, model):
+    # a valid placement of "c" in "abc", but length-1 sources are
+    # character slots, never string pointers
+    return replace(comp, dict_pointers=comp.dict_pointers
+                   + (Pointer(DICT_STRING, 6, 3, 2),))
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_drop_doc_pointer, "document 0 not fully reconstructed"),
+    (_drop_used_member, "uses non-member source"),
+    (_target_non_member, "dictionary pointer targets non-member"),
+    (_change_objective, "objective mismatch: 8.0 vs 9.0"),
+    (_outside_universe, "compression contains pointers outside the model universe"),
+])
+def test_compression_errors_detects_defects(damage, message):
+    model = model_for(["abcabc", "abcab"], 4, 2)
+    comp = exact_solve(model)
+    assert comp.dictionary == (3, 6)  # "ab" and "abc"
+    assert Pointer(DICT_STRING, 6, 1, 3) in comp.dict_pointers
+    assert not compression_errors(comp, model)
+    errors = compression_errors(damage(comp, model), model)
+    assert any(message in e for e in errors), errors
 
 
 def test_round_is_stable_on_integral_solutions():
