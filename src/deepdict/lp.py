@@ -1,4 +1,4 @@
-"""Full compression LP: instance, cuts, simplex solve, rounding, exact oracle.
+"""Full compression LP: instance, cuts, HiGHS solve, rounding, exact oracle.
 
 Variables are ordered as all dictionary-membership weights (one per
 candidate), then all document pointer weights, then all dictionary pointer
@@ -8,10 +8,10 @@ per string-using pointer, and optional per-class cut rows limiting each
 right-extension equivalence class to one dictionary member.
 
 An LPInstance is the model plus its cut rows; no matrix is built for it.
-solve_lp solves it by delayed column generation in one simplex session,
-which assembles only the restricted program.  dense_program assembles the
-full program as one dense matrix: the reference form that simplex.solve
-reads in the tests.
+solve_lp builds the full program once as compressed sparse columns
+(sparse_program) and solves it in one simplex.run.  dense_program builds
+the same program as one dense matrix: the reference form that the tests
+compare sparse_program with and solve through simplex.solve.
 
 Rounding keeps every candidate with membership weight above a snap
 threshold, re-solves all reconstructions restricted to that dictionary,
@@ -134,17 +134,21 @@ def _pointer_column(model: ModelInstance, doc_base: dict[int, int],
     return start, start + model.candidates.length(ptr.source), cost, source
 
 
-def _assemble_program(model: ModelInstance, doc_idx: list[int], dict_idx: list[int],
-                      cut_members: list[list[int]]):
-    """Dense program over the membership variables plus the given subset of
-    pointer variables, and the name of each row; pointers outside the
-    subset are fixed at zero, which only their own linking rows would
-    reference."""
+def dense_program(lp: LPInstance, pinned: dict[int, float] | None = None
+                  ) -> tuple[simplex.LinearProgram, list[tuple]]:
+    """The full program as one dense (rows, variables) matrix, and the name
+    of each row: ("doc_cov", doc, pos), ("dict_cov", cid, pos),
+    ("link_doc", i), ("link_dict", i) or ("cut", members).  pinned fixes
+    membership variables (lower = upper = value).  This is the reference
+    form for simplex.solve and for sparse_program; its matrix grows as
+    rows x variables, so the compression path never builds it."""
+    model = lp.model
     cands = model.candidates
     n_strings = len(cands)
     row_meta, doc_base, dict_base = _coverage_rows(model)
     n_cov = len(row_meta)
-    pointers = [(i, True) for i in doc_idx] + [(i, False) for i in dict_idx]
+    pointers = ([(i, True) for i in range(len(model.doc_pointers))]
+                + [(i, False) for i in range(len(model.dict_pointers))])
     columns = [_pointer_column(model, doc_base, dict_base, i, is_doc)
                for i, is_doc in pointers]
     links = []
@@ -152,7 +156,7 @@ def _assemble_program(model: ModelInstance, doc_idx: list[int], dict_idx: list[i
         if source is not None:
             row_meta.append(("link_doc" if is_doc else "link_dict", i))
             links.append((n_strings + c, source))
-    row_meta.extend(("cut", tuple(members)) for members in cut_members)
+    row_meta.extend(("cut", tuple(members)) for members in lp.cut_members)
 
     n = n_strings + len(pointers)
     rows = np.zeros((len(row_meta), n))
@@ -164,7 +168,7 @@ def _assemble_program(model: ModelInstance, doc_idx: list[int], dict_idx: list[i
     for r, (col, source) in enumerate(links, n_cov):
         rows[r, col] = 1.0
         rows[r, source] = -1.0
-    for r, members in enumerate(cut_members, n_cov + len(links)):
+    for r, members in enumerate(lp.cut_members, n_cov + len(links)):
         rows[r, members] = 1.0
     kinds = [meta[0] for meta in row_meta]
     senses = np.array([simplex.GE if kind.endswith("_cov") else simplex.LE
@@ -174,24 +178,46 @@ def _assemble_program(model: ModelInstance, doc_idx: list[int], dict_idx: list[i
                          dtype=float)
     program = simplex.LinearProgram(objective, rows, senses, rhs,
                                     np.zeros(n), np.ones(n))
-    return program, row_meta
-
-
-def dense_program(lp: LPInstance, pinned: dict[int, float] | None = None
-                  ) -> tuple[simplex.LinearProgram, list[tuple]]:
-    """The full program as one dense (rows, variables) matrix, and the name
-    of each row: ("doc_cov", doc, pos), ("dict_cov", cid, pos),
-    ("link_doc", i), ("link_dict", i) or ("cut", members).  pinned fixes
-    membership variables (lower = upper = value).  This is the reference
-    form for simplex.solve; its matrix grows as rows x variables, so the
-    compression path never builds it."""
-    model = lp.model
-    program, row_meta = _assemble_program(
-        model, list(range(len(model.doc_pointers))),
-        list(range(len(model.dict_pointers))), lp.cut_members)
     for cid, value in (pinned or {}).items():
         program.lower[cid] = program.upper[cid] = value
     return program, row_meta
+
+
+def sparse_program(lp: LPInstance) -> simplex.SparseProgram:
+    """The full program as CSC arrays, with the rows and variables of
+    dense_program in the same order: coverage rows (document positions
+    >= 1, candidate positions >= 0), one linking row (<= 0) per pointer
+    with a source string, in pointer order, then the cut rows (<= 1)."""
+    model = lp.model
+    cands = model.candidates
+    row_meta, doc_base, dict_base = _coverage_rows(model)
+    n_cov = len(row_meta)
+    entries: list[tuple[int, int, float]] = []  # (row, column, value)
+    for cid in range(len(cands)):
+        base = dict_base[cid]
+        entries.extend((row, cid, -1.0) for row in range(base, base + cands.length(cid)))
+    costs = list(model.costs.string_costs)
+    link = n_cov
+    for is_doc, pointers in ((True, model.doc_pointers), (False, model.dict_pointers)):
+        for i in range(len(pointers)):
+            col = len(costs)
+            start, stop, cost, source = _pointer_column(model, doc_base, dict_base,
+                                                        i, is_doc)
+            costs.append(cost)
+            entries.extend((row, col, 1.0) for row in range(start, stop))
+            if source is not None:
+                entries += [(link, col, 1.0), (link, source, -1.0)]
+                link += 1
+    for cut, members in enumerate(lp.cut_members, link):
+        entries.extend((cut, cid, 1.0) for cid in members)
+    n = len(costs)
+    rows, cols, values = (np.array(part) for part in zip(*entries))
+    n_doc_cov, n_links, n_cuts = model.corpus.total_symbols, link - n_cov, len(lp.cut_members)
+    row_lower = np.concatenate([np.ones(n_doc_cov), np.zeros(n_cov - n_doc_cov),
+                                np.full(n_links + n_cuts, -np.inf)])
+    row_upper = np.concatenate([np.full(n_cov, np.inf), np.zeros(n_links), np.ones(n_cuts)])
+    return simplex.SparseProgram(np.array(costs, dtype=float), np.zeros(n), np.ones(n),
+                                 row_lower, row_upper, *simplex.csc(n, rows, cols, values))
 
 
 def check_coverable(model: ModelInstance) -> None:
@@ -207,135 +233,20 @@ def check_coverable(model: ModelInstance) -> None:
                     "every candidate there")
 
 
-def _crash_vector(model: ModelInstance, doc_idx: list[int],
-                  dict_idx: list[int]) -> np.ndarray:
-    """Feasible warm start: every unigram in the dictionary, documents
-    covered position by position, unigram strings built from their own
-    character slot.  Satisfies coverage, linking, and cut rows."""
-    cands = model.candidates
-    n_strings = len(cands)
-    start = np.zeros(n_strings + len(doc_idx) + len(dict_idx))
-    for cid in range(n_strings):
-        if cands.length(cid) == 1:
-            start[cid] = 1.0
-    for col, i in enumerate(doc_idx):
-        if cands.length(model.doc_pointers[i].source) == 1:
-            start[n_strings + col] = 1.0
-    for col, i in enumerate(dict_idx):
-        ptr = model.dict_pointers[i]
-        if ptr.kind == DICT_CHAR and cands.length(ptr.target) == 1:
-            start[n_strings + len(doc_idx) + col] = 1.0
-    return start
-
-
-COLGEN_BATCH = 24  # new columns per reconstruction target per round
-COLGEN_ROUNDS = 80
-
-
-def _seed_columns(pointers, lengths) -> set[int]:
-    """Longest pointer at every (target, start): a cheap cover basis that
-    seeds the restricted program with useful long columns."""
-    by_start: dict[tuple[int, int], int] = {}
-    for i, ptr in enumerate(pointers):
-        key = (ptr.target, ptr.location)
-        best = by_start.get(key)
-        if best is None or lengths(ptr.source) > lengths(pointers[best].source):
-            by_start[key] = i
-    return set(by_start.values())
-
-
-def _colgen_solve(model: ModelInstance, cut_members: list[list[int]]):
-    """Delayed column-and-row generation: pointers outside the active set
-    are fixed at zero (their linking rows are then vacuous), and a pointer
-    is activated when the coverage prices of the positions it fills exceed
-    its cost.  Activated pointers are appended into a live simplex session
-    together with their linking rows, so each round continues from the
-    previous basis instead of re-solving.  Termination certifies optimality
-    for the full program."""
-    cands = model.candidates
-    n_strings = len(cands)
-    active_doc = {i for i, p in enumerate(model.doc_pointers)
-                  if cands.length(p.source) == 1}
-    active_doc |= _seed_columns(model.doc_pointers, cands.length)
-    # dictionary coverage is always satisfiable through the character
-    # slots; the string-kind seeds start the restricted program with the
-    # long columns there as well
-    active_dict = {i for i, p in enumerate(model.dict_pointers)
-                   if p.kind == DICT_CHAR}
-    active_dict |= _seed_columns(model.dict_pointers, cands.length)
-    doc_idx = sorted(active_doc)
-    dict_idx = sorted(active_dict)
-    program, _ = _assemble_program(model, doc_idx, dict_idx, cut_members)
-    _, doc_base, dict_base = _coverage_rows(model)
-    session = simplex.IncrementalSolver(program, _crash_vector(model, doc_idx, dict_idx))
-    # struct column registry: membership variables first, then pointers in
-    # activation order
-    doc_pos = {i: n_strings + c for c, i in enumerate(doc_idx)}
-    dict_pos = {i: n_strings + len(doc_idx) + c for c, i in enumerate(dict_idx)}
-
-    for _ in range(COLGEN_ROUNDS):
-        status = session.optimize()
-        if status != "optimal":
-            raise NumericalFailure(f"restricted program came back {status}")
-        y = session.duals()
-        new_by_target: dict[tuple, list[tuple[float, int, bool]]] = {}
-        for is_doc, pointers, active in ((True, model.doc_pointers, active_doc),
-                                         (False, model.dict_pointers, active_dict)):
-            for i, ptr in enumerate(pointers):
-                if i in active:
-                    continue
-                start, stop, cost, _ = _pointer_column(model, doc_base, dict_base,
-                                                       i, is_doc)
-                slack = y[start:stop].sum() - cost
-                if slack > 1e-9:
-                    new_by_target.setdefault((is_doc, ptr.target), []).append(
-                        (slack, i, is_doc))
-        if not new_by_target:
-            values = np.zeros(n_strings + len(model.doc_pointers)
-                              + len(model.dict_pointers))
-            x = session.values()
-            values[:n_strings] = x[:n_strings]
-            for i, pos in doc_pos.items():
-                values[n_strings + i] = x[pos]
-            off = n_strings + len(model.doc_pointers)
-            for i, pos in dict_pos.items():
-                values[off + i] = x[pos]
-            return values, session.objective(), session.tab.iterations
-        added: list[tuple[int, bool]] = []
-        for entries in new_by_target.values():
-            entries.sort(key=lambda e: (-e[0], e[1]))
-            for _, i, is_doc in entries[:COLGEN_BATCH]:
-                added.append((i, is_doc))
-                (active_doc if is_doc else active_dict).add(i)
-        n_struct_before = len(session.struct_cols)
-        cols = np.zeros((len(session.senses), len(added)))
-        costs = np.empty(len(added))
-        link_rows = []
-        for c, (i, is_doc) in enumerate(added):
-            start, stop, cost, source = _pointer_column(model, doc_base, dict_base,
-                                                        i, is_doc)
-            cols[start:stop, c] = 1.0
-            costs[c] = cost
-            (doc_pos if is_doc else dict_pos)[i] = n_struct_before + c
-            if source is not None:
-                link_rows.append((n_struct_before + c, source))
-        rows = np.zeros((len(link_rows), n_struct_before + len(added)))
-        for r, (col_pos, src) in enumerate(link_rows):
-            rows[r, col_pos] = 1.0
-            rows[r, src] = -1.0
-        session.append(cols, costs, rows, np.zeros(len(link_rows)))
-    raise NumericalFailure("column generation did not converge")
-
-
 def solve_lp(lp: LPInstance) -> LPSolution:
-    """Optimal solution of the instance's relaxation, by column generation
-    over its model and cut rows."""
+    """Optimal solution of the instance's relaxation: the full program,
+    built once as CSC arrays, in one HiGHS run."""
     if not lp.model.costs.nonnegative():
         raise InvalidParam("the simplex path requires nonnegative costs; "
                            "negative-cost landmarks are solved by inspection")
     check_coverable(lp.model)
-    values, objective, iterations = _colgen_solve(lp.model, lp.cut_members)
-    return LPSolution(values, objective, "optimal", {"iterations": iterations}, lp)
+    # coverable rows and [0, 1] variables make the program feasible and
+    # bounded, so any other status is a solver failure
+    result = simplex.run(sparse_program(lp))
+    if result.status != "optimal":
+        raise NumericalFailure(f"the relaxation came back {result.status}")
+    return LPSolution(result.x, result.objective, "optimal",
+                      {"iterations": result.iterations}, lp)
 
 
 @dataclass(frozen=True)

@@ -151,3 +151,10 @@ def random_corpus(rng, n_docs=1, max_doc_len=10, alphabet="abc",
     return ["".join(rng.choice(alphabet)
                     for _ in range(rng.randint(min_doc_len, max_doc_len)))
             for _ in range(n_docs)]
+
+
+def ladder_texts(n_docs: int, rng) -> list[str]:
+    """The corpus ladder of the benchmark: each document is 3-6 words."""
+    words = ("abra", "cad", "abra", "xyz", "ab", "ra", "ca", "dab")
+    return ["".join(rng.choice(words) for _ in range(rng.randint(3, 6)))
+            for _ in range(n_docs)]

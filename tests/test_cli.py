@@ -1,12 +1,15 @@
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
-from deepdict import cli
+from deepdict import cli, simplex
 from deepdict.features import read_matrix
 from deepdict.pipeline import PathResult
 
-from oracles import bon_counts
+from oracles import bon_counts, ladder_texts
 
 
 def write_corpus_file(tmp_path, name, lines):
@@ -100,14 +103,33 @@ def test_compress_non_finite_cost_exits_2(tmp_path, capsys, flag, value):
     assert "must be finite" in captured.err
 
 
-def test_compress_colgen_non_convergence_exits_3(tmp_path, monkeypatch):
-    # 1074 variables + rows; with no generation rounds the solve cannot
-    # converge, which must end as a numerical failure, not a traceback
+def test_compress_solver_iteration_limit_exits_3(tmp_path, monkeypatch, capsys):
+    # a solve that stops short of the optimum must end as a numerical
+    # failure, not a traceback
     inp = write_corpus_file(tmp_path, "ladder.txt",
                             ["abracadabra cadabra", "cadabra xyz abra",
                              "dab abra ca xyz", "xyz abracad dab"])
-    monkeypatch.setattr("deepdict.lp.COLGEN_ROUNDS", 0)
+    monkeypatch.setitem(simplex.HIGHS_OPTIONS, "simplex_iteration_limit", 0)
     assert cli.main(["compress", inp, "--out", str(tmp_path / "o")]) == 3
+    assert "iteration limit" in capsys.readouterr().err.lower()
+
+
+def test_compress_report_independent_of_blas_threads(tmp_path):
+    # the 10-document corpus ladder with cuts, compressed in two fresh
+    # processes at one and at two OpenBLAS threads
+    inp = write_corpus_file(tmp_path, "ladder.txt", ladder_texts(10, random.Random(0)))
+    out = str(tmp_path / "out")
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "deepdict.cli", "compress", inp,
+                               "--cuts", "--out", out], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([read_file(os.path.join(out, name))
+                        for name in ("report.txt", "compression.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_usage_error_exits_1():

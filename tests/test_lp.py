@@ -10,11 +10,11 @@ from deepdict.corpus import CHAR, enumerate_candidates, equivalence_classes, ing
 from deepdict.errors import Infeasible, InvalidParam, TooLarge
 from deepdict.lp import (build_lp, check_coverable, compression_errors, dense_program,
                          exact_solve, intervals, prune_descent, round_to_compression,
-                         solve_lp)
+                         solve_lp, sparse_program)
 from deepdict.model import DICT_STRING, Pointer, build_model
 from deepdict.recon import Interval, ReconInstance, solve_dp
 
-from oracles import naive_exact
+from oracles import ladder_texts, naive_exact
 
 SNAP = 1e-6
 
@@ -78,11 +78,7 @@ def test_lp_value_and_rounding_on_a4():
 def test_build_lp_allocates_no_dense_matrix():
     # the 10-document corpus ladder: its full program is 1056 x 980, a
     # 7.9 MiB dense matrix that the instance must not materialise
-    rng = random.Random(0)
-    words = ("abra", "cad", "abra", "xyz", "ab", "ra", "ca", "dab")
-    texts = ["".join(rng.choice(words) for _ in range(rng.randint(3, 6)))
-             for _ in range(10)]
-    model = model_for(texts, 4, 2)
+    model = model_for(ladder_texts(10, random.Random(0)), 4, 2)
     classes = equivalence_classes(model.candidates, model.corpus)
     for cuts in (False, True):
         tracemalloc.start()
@@ -109,10 +105,44 @@ def test_solution_satisfies_rows():
         float(prog.objective @ solution.values), abs=1e-7)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_program_matches_dense_reference(seed):
+    # the CSC arrays that solve_lp hands to HiGHS, densified, are the
+    # reference program: its matrix, the row bounds its senses and
+    # right-hand sides give, its costs and its column bounds
+    rng = random.Random(seed)
+    texts = ["".join(rng.choice("abc") for _ in range(rng.randint(4, 12)))
+             for _ in range(rng.randint(1, 3))]
+    with_cuts = 0
+    for cfl_mode in (False, True):
+        model = model_for(texts, 4, 1, cfl_mode=cfl_mode)
+        for cuts in (False, True):
+            lp = build_lp(model, cuts=cuts)
+            with_cuts += len(lp.cut_members)
+            sparse = sparse_program(lp)
+            dense, _ = dense_program(lp)
+            m, n = dense.rows.shape
+            assert len(sparse.start) == n + 1 and sparse.start[-1] == len(sparse.index)
+            matrix = np.zeros((m, n))
+            for j in range(n):
+                rows = sparse.index[sparse.start[j]:sparse.start[j + 1]]
+                assert np.all(np.diff(rows) > 0)  # row order, no repeats
+                matrix[rows, j] = sparse.value[sparse.start[j]:sparse.start[j + 1]]
+            np.testing.assert_array_equal(matrix, dense.rows)
+            np.testing.assert_array_equal(
+                sparse.row_lower, np.where(dense.senses == simplex.LE, -np.inf, dense.rhs))
+            np.testing.assert_array_equal(
+                sparse.row_upper, np.where(dense.senses == simplex.GE, np.inf, dense.rhs))
+            np.testing.assert_array_equal(sparse.cost, dense.objective)
+            np.testing.assert_array_equal(sparse.lower, dense.lower)
+            np.testing.assert_array_equal(sparse.upper, dense.upper)
+    assert with_cuts
+
+
 @pytest.mark.parametrize("n_docs,length", [(1, (4, 10)), (2, (4, 10)),
                                             (2, (8, 16)), (3, (8, 16))])
 def test_solve_lp_matches_dense_reference(n_docs, length):
-    # column generation must reach the optimum of the full dense program at
+    # the sparse build must reach the optimum of the full dense program at
     # every size; these programs have 89, 286, 870 and 1094 variables + rows
     rng = random.Random(100 * n_docs + length[0])
     texts = ["".join(rng.choice("abc") for _ in range(rng.randint(*length)))

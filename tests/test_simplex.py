@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +36,9 @@ def test_equality_row():
 def test_infeasible_detection():
     lp = make_lp([1.0, 1.0], [[1.0, 1.0]], [simplex.GE], [3.0])
     assert simplex.solve(lp).status == "infeasible"
+    # no columns: HiGHS reports an empty model, and the rows alone decide
+    assert simplex.solve(make_lp([], [], [simplex.GE], [1.0])).status == "infeasible"
+    assert simplex.solve(make_lp([], [], [simplex.LE], [1.0])).status == "optimal"
 
 
 def test_unbounded_detection():
@@ -52,28 +58,21 @@ def test_degenerate_cover_lp():
 
 
 def test_start_hint_respected():
+    # HiGHS chooses its own starting basis; whichever it takes, the row
+    # covered by either column must end on the cheaper, later column
     lp = make_lp([2.0, 1.0], [[1.0, 1.0]], [simplex.GE], [1.0])
-    res = simplex.solve(lp, start=np.array([1.0, 1.0]))
+    res = simplex.solve(lp)
     assert res.objective == pytest.approx(1.0)
+    np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-9)
 
 
-def test_iteration_limit_raises():
+def test_iteration_limit_raises(monkeypatch):
     rng = random.Random(0)
     rows = [[rng.choice([0.0, 1.0]) for _ in range(8)] for _ in range(6)]
     lp = make_lp([1.0] * 8, rows, [simplex.GE] * 6, [1.0] * 6)
-    with pytest.raises(NumericalFailure):
-        simplex.solve(lp, max_iterations=1)
-
-
-def test_duals_certify_optimum():
-    # min x1 + 2 x2  s.t.  x1 + x2 >= 1.2; duals price the covering row
-    lp = make_lp([1.0, 2.0], [[1.0, 1.0]], [simplex.GE], [1.2],
-                 upper=[2.0, 2.0])
-    res = simplex.solve(lp, want_duals=True)
-    assert res.objective == pytest.approx(1.2)
-    assert res.duals[0] == pytest.approx(1.0)
-    reduced = lp.objective - res.duals @ lp.rows
-    assert np.all(reduced >= -1e-9)
+    monkeypatch.setitem(simplex.HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+    with pytest.raises(NumericalFailure, match="[Ii]teration limit"):
+        simplex.solve(lp)
 
 
 def test_random_lps_against_enumeration():
@@ -115,3 +114,38 @@ def test_random_lps_against_enumeration():
             assert res.objective <= best + 1e-9
         else:
             assert res.status in ("infeasible", "optimal")
+
+
+LOADER_CHECK = """
+import sys
+from deepdict import simplex
+from deepdict.corpus import ingest, enumerate_candidates
+from deepdict.lp import build_lp, solve_lp
+from deepdict.model import build_model
+
+assert simplex._CORE not in sys.modules
+corpus = ingest(["abab", "baba"], "char")
+model = build_model(corpus, enumerate_candidates(corpus, 3, 1), 0.0, 1.0, 1.0)
+solve_lp(build_lp(model))
+core = sys.modules[simplex._CORE]
+assert hasattr(core, "_Highs")
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+from scipy.optimize._highspy import _highs_wrapper
+assert _highs_wrapper._h is core
+res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],
+                             bounds=[(0, 1), (0, 1)], method="highs")
+assert res.status == 0 and abs(res.fun - 1.0) < 1e-9
+print("ok")
+"""
+
+
+def test_highs_core_loads_without_scipy_optimize():
+    # a fresh interpreter: the core is loaded on the first solve, without
+    # scipy.optimize's package init, and scipy.optimize later reuses it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", LOADER_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
