@@ -5,8 +5,9 @@ The feature space is the dictionary strings (by candidate id) followed by
 the alphabet characters; character feature names are written [c].  The
 document matrix counts document-pointer sources per document.  The
 dictionary matrix counts each member string's reconstruction sources (its
-character rows are zero), so it is nilpotent, and diffusing the document
-counts through it terminates exactly.
+character rows are zero), so it is nilpotent: its nonzeros form a DAG, and
+diffusion spreads the document counts down that DAG in one pass, layer by
+layer, with one matrix product per layer.
 """
 
 from __future__ import annotations
@@ -78,29 +79,6 @@ class SparseMatrix:
             out[r, c] = v
         return out
 
-    def copy(self) -> "SparseMatrix":
-        return SparseMatrix(self.n_rows, self.n_cols, dict(self.entries))
-
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.n_cols != other.n_rows:
-            raise DimensionMismatch("matrix shapes do not align")
-        by_row: dict[int, list[tuple[int, float]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        out = SparseMatrix(self.n_rows, other.n_cols)
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                out.add(r, c, v * w)
-        return out
-
-    def scaled(self, factor: float) -> "SparseMatrix":
-        out = SparseMatrix(self.n_rows, self.n_cols)
-        for key, v in self.entries.items():
-            val = v * factor
-            if val != 0.0:
-                out.entries[key] = val
-        return out
-
 
 def top_features(comp: Compression, model: ModelInstance,
                  space: FeatureSpace | None = None) -> SparseMatrix:
@@ -134,33 +112,47 @@ def dict_matrix(comp: Compression, model: ModelInstance,
 
 def diffuse(top: SparseMatrix, dictionary: SparseMatrix, rho: float = 1.0,
             normalize: list[float] | None = None) -> SparseMatrix:
-    """Spread document counts down the dictionary DAG: the result is
-    top @ (I + sum_n (rho*G')^n), where G' optionally has each string row
-    scaled by 1 / t_s.  Nilpotency makes the series finite, so accumulation
-    runs until the increment is exactly empty."""
-    if rho < 0:
-        raise InvalidParam("rho must be nonnegative")
+    """Spread document counts down the dictionary DAG: the result solves
+    Xhat = top + rho * Xhat @ G', i.e. top @ (I + sum_n (rho*G')^n), where
+    G' optionally has each string row scaled by 1 / t_s.  One pass over the
+    DAG in topological order: each layer's columns are final once every
+    string that uses them is, so a layer costs one matrix product.  A
+    dictionary matrix with a cycle leaves some columns unordered and is
+    rejected as not nilpotent."""
+    if not (rho >= 0 and np.isfinite(rho)):
+        raise InvalidParam("rho must be finite and nonnegative")
     if top.n_cols != dictionary.n_rows or dictionary.n_rows != dictionary.n_cols:
         raise DimensionMismatch("feature dimensions do not agree")
-    g = dictionary
+    g = dictionary.to_dense()
     if normalize is not None:
         if any(t <= 0 for t in normalize):
             raise InvalidParam("normalization weights must be positive")
-        g = SparseMatrix(g.n_rows, g.n_cols)
-        for (r, c), v in dictionary.entries.items():
-            scale = 1.0 / normalize[r] if r < len(normalize) else 1.0
-            g.entries[(r, c)] = v * scale
-    acc = top.copy()
-    term = top
-    guard = 0
-    while term.nnz:
-        term = term.matmul(g).scaled(rho)
-        for key, v in term.entries.items():
-            acc.add(key[0], key[1], v)
-        guard += 1
-        if guard > dictionary.n_rows + 1:
-            raise InvalidParam("dictionary matrix is not nilpotent")
-    return acc
+        if len(normalize) > g.shape[0] or g[len(normalize):].any():
+            raise DimensionMismatch("normalization weights must cover every "
+                                    "nonzero dictionary row")
+        g[:len(normalize)] *= 1.0 / np.asarray(normalize, dtype=float)[:, None]
+    x = top.to_dense()
+    uses = g != 0.0
+    waiting = uses.sum(axis=0)  # per column: users not yet final
+    done = np.zeros(g.shape[0], dtype=bool)
+    layer = np.flatnonzero(waiting == 0)
+    while layer.size:
+        above = np.flatnonzero(uses[:, layer].any(axis=1))
+        if above.size:
+            x[:, layer] += rho * (x[:, above] @ g[np.ix_(above, layer)])
+        done[layer] = True
+        waiting -= uses[layer].sum(axis=0)
+        layer = np.flatnonzero((waiting == 0) & ~done)
+    if not done.all():
+        raise InvalidParam("dictionary matrix is not nilpotent")
+    del g, uses
+    # entries are nonnegative, so every entry of top stays nonzero; an update
+    # keeps top's key objects, and only new nonzeros allocate a key
+    out = SparseMatrix(top.n_rows, top.n_cols, dict(top.entries))
+    for r, row in enumerate(x):
+        cols = np.flatnonzero(row).tolist()
+        out.entries.update(zip(((r, c) for c in cols), row[cols].tolist()))
+    return out
 
 
 @dataclass
@@ -214,30 +206,39 @@ def fractional_features(solution, model: ModelInstance, eps: float = 1e-6):
     return space, top, dictionary, weights
 
 
+def string_layers(comp: Compression, model: ModelInstance) -> dict[int, int]:
+    """DAG layer of each dictionary string: characters sit in layer 0 and a
+    string one layer above the deepest string it uses."""
+    uses: dict[int, list[int]] = {cid: [] for cid in comp.dictionary}
+    for ptr in comp.dict_pointers:
+        if ptr.kind != DICT_CHAR:
+            uses[ptr.target].append(ptr.source)
+    layers: dict[int, int] = {}
+    for cid in sorted(comp.dictionary, key=model.candidates.length):
+        layers[cid] = 1 + max((layers[src] for src in uses[cid]), default=0)
+    return layers
+
+
 def dag_export(comp: Compression, model: ModelInstance) -> DagView:
-    nodes: list[tuple[str, int]] = [("char", s) for s in range(len(model.corpus.table))]
-    nodes.extend(("str", cid) for cid in comp.dictionary)
-    nodes.extend(("doc", d.id) for d in model.corpus.docs)
+    # every edge refers to its end nodes' tuples rather than copies of them
+    chars = [("char", s) for s in range(len(model.corpus.table))]
+    strings = {cid: ("str", cid) for cid in comp.dictionary}
+    docs = [("doc", d.id) for d in model.corpus.docs]
+    nodes = chars + list(strings.values()) + docs
     edges = []
-    layers: dict[tuple[str, int], int] = {("char", s): 0
-                                          for s in range(len(model.corpus.table))}
-    uses: dict[int, list[tuple[str, int]]] = {cid: [] for cid in comp.dictionary}
     for ptr in comp.dict_pointers:
         if ptr.kind == DICT_CHAR:
-            sym = model.candidates.strings[ptr.source][0]
-            src = ("char", sym)
-            edges.append((CHAR_TO_DICT, src, ("str", ptr.target), ptr.location))
+            src = chars[model.candidates.strings[ptr.source][0]]
+            edges.append((CHAR_TO_DICT, src, strings[ptr.target], ptr.location))
         else:
-            src = ("str", ptr.source)
-            edges.append((DICT_TO_DICT, src, ("str", ptr.target), ptr.location))
-        uses[ptr.target].append(src)
-    for cid in sorted(comp.dictionary, key=model.candidates.length):
-        layers[("str", cid)] = 1 + max((layers[src] for src in uses[cid]), default=0)
-    top = 1 + max((layers[("str", cid)] for cid in comp.dictionary), default=0)
-    for doc in model.corpus.docs:
-        layers[("doc", doc.id)] = top
+            edges.append((DICT_TO_DICT, strings[ptr.source], strings[ptr.target],
+                          ptr.location))
+    layers = dict.fromkeys(chars, 0)
+    string_layer = string_layers(comp, model)
+    layers.update((strings[cid], layer) for cid, layer in string_layer.items())
+    layers.update(dict.fromkeys(docs, 1 + max(string_layer.values(), default=0)))
     for ptr in comp.doc_pointers:
-        edges.append((DICT_TO_DOC, ("str", ptr.source), ("doc", ptr.target), ptr.location))
+        edges.append((DICT_TO_DOC, strings[ptr.source], docs[ptr.target], ptr.location))
     return DagView(nodes, edges, layers)
 
 
@@ -245,12 +246,11 @@ def stats(comp: Compression, model: ModelInstance) -> dict:
     """pointer_count, mean n-gram length of document pointers, dictionary
     size, and DAG depth."""
     lengths = [model.candidates.length(p.source) for p in comp.doc_pointers]
-    dag = dag_export(comp, model)
     return {
         "pointer_count": len(comp.doc_pointers) + len(comp.dict_pointers),
         "mnl": sum(lengths) / len(lengths) if lengths else 0.0,
         "dict_size": len(comp.dictionary),
-        "depth": dag.depth(),
+        "depth": max(string_layers(comp, model).values(), default=0),
     }
 
 

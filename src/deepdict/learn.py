@@ -16,11 +16,16 @@ from .features import SparseMatrix, diffuse
 
 @dataclass
 class LabeledMatrix:
-    matrix: SparseMatrix
+    """Labelled rows, held as one dense (rows x features) array; a
+    SparseMatrix is densified once, here."""
+
+    matrix: np.ndarray | SparseMatrix
     labels: list[int]
 
     def __post_init__(self) -> None:
-        if len(self.labels) != self.matrix.n_rows:
+        if isinstance(self.matrix, SparseMatrix):
+            self.matrix = self.matrix.to_dense()
+        if len(self.labels) != self.matrix.shape[0]:
             raise DimensionMismatch("label count must equal row count")
 
 
@@ -36,23 +41,20 @@ def nb_train(data: LabeledMatrix, smoothing: float = 1.0) -> NBModel:
     classes = sorted(set(data.labels))
     if len(classes) < 2:
         raise DegenerateTraining("need at least two classes")
-    dense = data.matrix.to_dense()
-    n_features = dense.shape[1]
-    counts = np.zeros((len(classes), n_features))
-    priors = np.zeros(len(classes))
-    for row, label in enumerate(data.labels):
-        ci = classes.index(label)
-        counts[ci] += dense[row]
-        priors[ci] += 1
+    labels = np.asarray(data.labels)
+    n_features = data.matrix.shape[1]
+    counts = np.stack([data.matrix[labels == cls].sum(axis=0) for cls in classes])
+    priors = np.array([np.count_nonzero(labels == cls) for cls in classes], dtype=float)
     totals = counts.sum(axis=1, keepdims=True)
     log_like = np.log(counts + smoothing) - np.log(totals + smoothing * n_features)
     log_priors = np.log(priors / priors.sum())
     return NBModel(classes, log_priors, log_like)
 
 
-def nb_predict(model: NBModel, rows: SparseMatrix) -> list[int]:
-    dense = rows.to_dense()
-    scores = dense @ model.log_likelihood.T + model.log_priors
+def nb_predict(model: NBModel, rows: np.ndarray) -> list[int]:
+    if len(rows) == 0:
+        raise DimensionMismatch("no rows to predict")
+    scores = rows @ model.log_likelihood.T + model.log_priors
     # ties resolve to the lowest class id (argmax returns the first maximum)
     return [model.classes[int(np.argmax(s))] for s in scores]
 
@@ -74,9 +76,8 @@ def centroid_train(data: LabeledMatrix, l1_normalize: bool = False,
     classes = sorted(set(data.labels))
     if len(classes) < 2:
         raise DegenerateTraining("need at least two classes")
-    dense = data.matrix.to_dense()
-    centroids = np.stack([dense[[i for i, l in enumerate(data.labels) if l == cls]]
-                          .mean(axis=0) for cls in classes])
+    labels = np.asarray(data.labels)
+    centroids = np.stack([data.matrix[labels == cls].mean(axis=0) for cls in classes])
     if l1_normalize:
         norms = np.abs(centroids).sum(axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
@@ -93,11 +94,12 @@ def centroid_train(data: LabeledMatrix, l1_normalize: bool = False,
     return CentroidModel(classes, centroids, scale, kept, l1_normalize)
 
 
-def centroid_predict(model: CentroidModel, sample_rows: SparseMatrix) -> int:
+def centroid_predict(model: CentroidModel, sample_rows: np.ndarray) -> int:
     """Average the sample rows, apply the training-time transforms, and
     return the nearest centroid's class (ties to the lowest class id)."""
-    dense = sample_rows.to_dense()
-    mean = dense.mean(axis=0)
+    if len(sample_rows) == 0:
+        raise DimensionMismatch("no sample rows to average")
+    mean = sample_rows.mean(axis=0)
     if model.l1_normalize:
         norm = np.abs(mean).sum()
         if norm > 0.0:
@@ -168,7 +170,7 @@ def accuracy_over_resamples(data: LabeledMatrix, n_resamples: int, seed: int,
         by_class.setdefault(label, []).append(i)
     nb_correct = nb_total = 0
     cen_correct = cen_total = 0
-    dense = data.matrix.to_dense()
+    dense = data.matrix
     for _ in range(n_resamples):
         train_idx: list[int] = []
         test_idx: list[int] = []
@@ -179,11 +181,10 @@ def accuracy_over_resamples(data: LabeledMatrix, n_resamples: int, seed: int,
             split = min(split, len(rows) - 1)
             train_idx.extend(rows[:split])
             test_idx.extend(rows[split:])
-        train = LabeledMatrix(_submatrix(dense, train_idx),
-                              [data.labels[i] for i in train_idx])
+        train = LabeledMatrix(dense[train_idx], [data.labels[i] for i in train_idx])
         nb = nb_train(train)
         cen = centroid_train(train, l1_normalize=True, std_scale=True)
-        predictions = nb_predict(nb, _submatrix(dense, test_idx))
+        predictions = nb_predict(nb, dense[test_idx])
         for pos, i in enumerate(test_idx):
             nb_total += 1
             nb_correct += predictions[pos] == data.labels[i]
@@ -192,20 +193,12 @@ def accuracy_over_resamples(data: LabeledMatrix, n_resamples: int, seed: int,
             if not sample:
                 continue
             cen_total += 1
-            cen_correct += centroid_predict(cen, _submatrix(dense, sample)) == label
+            cen_correct += centroid_predict(cen, dense[sample]) == label
     return {
         "nb_accuracy": nb_correct / nb_total if nb_total else 0.0,
         "centroid_accuracy": cen_correct / cen_total if cen_total else 0.0,
         "majority_baseline": max(len(v) for v in by_class.values()) / len(data.labels),
     }
-
-
-def _submatrix(dense: np.ndarray, rows: list[int]) -> SparseMatrix:
-    mat = SparseMatrix(len(rows), dense.shape[1])
-    for r, i in enumerate(rows):
-        for c in np.flatnonzero(dense[i]):
-            mat.entries[(r, int(c))] = float(dense[i, c])
-    return mat
 
 
 def read_labels(path: str) -> list[int]:

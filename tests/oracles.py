@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 
 def split_symbols(text: str, mode: str = "char") -> list[str]:
@@ -153,8 +154,26 @@ def random_corpus(rng, n_docs=1, max_doc_len=10, alphabet="abc",
             for _ in range(n_docs)]
 
 
+LADDER_WORDS = ("abra", "cad", "abra", "xyz", "ab", "ra", "ca", "dab")
+
+
 def ladder_texts(n_docs: int, rng) -> list[str]:
     """The corpus ladder of the benchmark: each document is 3-6 words."""
-    words = ("abra", "cad", "abra", "xyz", "ab", "ra", "ca", "dab")
-    return ["".join(rng.choice(words) for _ in range(rng.randint(3, 6)))
+    return ["".join(rng.choice(LADDER_WORDS) for _ in range(rng.randint(3, 6)))
             for _ in range(n_docs)]
+
+
+def labelled_ladder(n_docs: int, seed: int, rate: float) -> tuple[list[str], list[int]]:
+    """The benchmark's labelled ladder: document k has 3 + k % 4 ladder
+    words and class k % 3, whose planted word is inserted at a random word
+    boundary with probability `rate`."""
+    planted = ("fig", "hum", "jot")
+    rng = random.Random(seed)
+    texts, labels = [], []
+    for k in range(n_docs):
+        words = [rng.choice(LADDER_WORDS) for _ in range(3 + k % 4)]
+        if rng.random() < rate:
+            words.insert(rng.randint(0, len(words)), planted[k % 3])
+        texts.append("".join(words))
+        labels.append(k % 3)
+    return texts, labels

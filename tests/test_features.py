@@ -6,13 +6,13 @@ import pytest
 from deepdict.corpus import CHAR, enumerate_candidates, ingest
 from deepdict.errors import DimensionMismatch, InvalidParam
 from deepdict.features import (SparseMatrix, dag_export, dict_matrix, diffuse,
-                               feature_space, read_matrix, stats, top_features,
-                               write_dag, write_matrix, write_names)
+                               feature_space, fractional_features, read_matrix, stats,
+                               top_features, write_dag, write_matrix, write_names)
 from deepdict.lp import Compression, build_lp, compression_errors, solve_lp
 from deepdict.model import DICT_CHAR, DICT_STRING, DOCUMENT, Pointer, build_model
-from deepdict.pipeline import CompressJob, bon_compress, compress
+from deepdict.pipeline import CompressJob, bon_compress, build_job_model, compress
 
-from oracles import bon_counts
+from oracles import bon_counts, labelled_ladder, random_corpus
 
 
 def nested_example():
@@ -120,6 +120,99 @@ def test_diffuse_validation():
         diffuse(x, g, rho=1.0, normalize=[0.0, 1.0])
     with pytest.raises(DimensionMismatch):
         diffuse(SparseMatrix(1, 3, {(0, 0): 1.0}), g)
+
+
+def series_diffuse(top, dictionary, rho=1.0, normalize=None):
+    """Reference diffusion: top @ (I + sum_n (rho*G')^n) accumulated term by
+    term on dict-of-keys entries until a term is empty."""
+    scale = normalize or [1.0] * dictionary.n_rows
+    by_row = {}
+    for (r, c), v in dictionary.entries.items():
+        by_row.setdefault(r, []).append((c, v * (1.0 / scale[r])))
+    acc = dict(top.entries)
+    term = dict(top.entries)
+    for _ in range(dictionary.n_rows + 1):
+        product = {}
+        for (r, k), v in term.items():
+            for c, w in by_row.get(k, ()):
+                product[(r, c)] = product.get((r, c), 0.0) + v * w
+        term = {key: v * rho for key, v in product.items() if v * rho != 0.0}
+        if not term:
+            return acc
+        for key, v in term.items():
+            acc[key] = acc.get(key, 0.0) + v
+    raise AssertionError("the series did not terminate")
+
+
+def seeded_compressions():
+    rng = random.Random(21)
+    for _ in range(6):
+        texts = random_corpus(rng, n_docs=rng.randint(1, 3), max_doc_len=14, alphabet="ab")
+        yield compress(CompressJob(ingest(texts, CHAR), max_len=4, min_count=1))
+    for seed in range(2):
+        texts, _ = labelled_ladder(30, seed, 0.7)
+        yield bon_compress(ingest(texts, CHAR), 4, 1)
+
+
+def test_diffuse_matches_power_series():
+    for comp, _, model in seeded_compressions():
+        x = top_features(comp, model)
+        g = dict_matrix(comp, model)
+        assert diffuse(x, g, rho=1.0).entries == series_diffuse(x, g)
+        for rho in (0.5, 2.0):
+            got = diffuse(x, g, rho=rho).entries
+            want = series_diffuse(x, g, rho=rho)
+            assert got.keys() == want.keys()
+            assert all(abs(got[k] - want[k]) <= 1e-12 * max(1.0, want[k]) for k in want)
+
+
+def test_diffuse_matches_power_series_with_normalization():
+    rng = random.Random(4)
+    for _ in range(6):
+        texts = random_corpus(rng, n_docs=2, max_doc_len=8, alphabet="ab")
+        model = build_job_model(CompressJob(ingest(texts, CHAR), max_len=4, min_count=1))
+        solution = solve_lp(build_lp(model))
+        _, x, g, weights = fractional_features(solution, model)
+        for rho in (0.5, 1.0, 2.0):
+            got = diffuse(x, g, rho=rho, normalize=weights).entries
+            want = series_diffuse(x, g, rho=rho, normalize=weights)
+            assert got.keys() == want.keys()
+            assert all(abs(got[k] - want[k]) <= 1e-12 * max(1.0, want[k]) for k in want)
+
+
+def test_diffuse_rejects_cycle():
+    x = SparseMatrix(1, 3, {(0, 0): 1.0})
+    g = SparseMatrix(3, 3, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0})
+    with pytest.raises(InvalidParam, match="not nilpotent"):
+        diffuse(x, g)
+
+
+def test_diffuse_rejects_non_finite_rho():
+    x = SparseMatrix(1, 2, {(0, 0): 1.0})
+    g = SparseMatrix(2, 2, {(0, 1): 1.0})
+    for rho in (float("inf"), float("nan")):
+        with pytest.raises(InvalidParam):
+            diffuse(x, g, rho=rho)
+
+
+def test_diffuse_normalization_must_cover_nonzero_rows():
+    x = SparseMatrix(1, 3, {(0, 0): 1.0})
+    g = SparseMatrix(3, 3, {(0, 1): 1.0, (1, 2): 1.0})
+    assert diffuse(x, g, normalize=[2.0, 4.0]).get(0, 2) == 0.125
+    with pytest.raises(DimensionMismatch):
+        diffuse(x, g, normalize=[2.0])
+
+
+def test_diffuse_normalization_longer_than_matrix():
+    x = SparseMatrix(1, 3, {(0, 0): 1.0})
+    g = SparseMatrix(3, 3, {(0, 1): 1.0, (1, 2): 1.0})
+    with pytest.raises(DimensionMismatch):
+        diffuse(x, g, normalize=[2.0, 4.0, 1.0, 1.0])
+
+
+def test_stats_depth_matches_dag_export():
+    for comp, _, model in seeded_compressions():
+        assert stats(comp, model)["depth"] == dag_export(comp, model).depth()
 
 
 def test_dag_layers_nested():

@@ -9,7 +9,9 @@ from deepdict.features import SparseMatrix, dict_matrix, feature_space, top_feat
 from deepdict.learn import (LabeledMatrix, accuracy_over_resamples, centroid_predict,
                             centroid_train, invariance_check, nb_predict, nb_train,
                             read_labels, synthetic_phrase_corpus, write_labels)
-from deepdict.pipeline import CompressJob, compress
+from deepdict.pipeline import CompressJob, bon_compress, compress
+
+from oracles import labelled_ladder
 
 
 def matrix(rows):
@@ -24,20 +26,20 @@ def matrix(rows):
 def test_nb_two_class_toy():
     data = LabeledMatrix(matrix([[3, 0], [0, 3]]), [0, 1])
     model = nb_train(data)
-    assert nb_predict(model, matrix([[1, 0]])) == [0]
-    assert nb_predict(model, matrix([[0, 2]])) == [1]
+    assert nb_predict(model, matrix([[1, 0]]).to_dense()) == [0]
+    assert nb_predict(model, matrix([[0, 2]]).to_dense()) == [1]
 
 
 def test_nb_tie_goes_to_lowest_class():
     data = LabeledMatrix(matrix([[1, 1], [1, 1]]), [0, 1])
     model = nb_train(data)
-    assert nb_predict(model, matrix([[2, 2]])) == [0]
+    assert nb_predict(model, matrix([[2, 2]]).to_dense()) == [0]
 
 
 def test_nb_zero_row_uses_prior():
     data = LabeledMatrix(matrix([[2, 0], [2, 0], [0, 2]]), [1, 1, 2])
     model = nb_train(data)
-    assert nb_predict(model, matrix([[0, 0]])) == [1]
+    assert nb_predict(model, matrix([[0, 0]]).to_dense()) == [1]
 
 
 def test_nb_single_class_rejected():
@@ -56,22 +58,22 @@ def test_nb_test_row_scaling_invariance():
     model = nb_train(LabeledMatrix(matrix(rows), labels))
     for _ in range(20):
         row = [rng.randint(0, 5), rng.randint(0, 5)]
-        base = nb_predict(model, matrix([row]))
-        scaled = nb_predict(model, matrix([[4 * v for v in row]]))
+        base = nb_predict(model, matrix([row]).to_dense())
+        scaled = nb_predict(model, matrix([[4 * v for v in row]]).to_dense())
         assert base == scaled
 
 
 def test_centroid_orthogonal_supports():
     data = LabeledMatrix(matrix([[4, 0], [2, 0], [0, 3], [0, 5]]), [0, 0, 1, 1])
     model = centroid_train(data)
-    assert centroid_predict(model, matrix([[1, 0]])) == 0
-    assert centroid_predict(model, matrix([[0, 1]])) == 1
+    assert centroid_predict(model, matrix([[1, 0]]).to_dense()) == 0
+    assert centroid_predict(model, matrix([[0, 1]]).to_dense()) == 1
 
 
 def test_centroid_tie_goes_to_lowest_class():
     data = LabeledMatrix(matrix([[1, 0], [0, 1]]), [0, 1])
     model = centroid_train(data)
-    assert centroid_predict(model, matrix([[0.5, 0.5]])) == 0
+    assert centroid_predict(model, matrix([[0.5, 0.5]]).to_dense()) == 0
 
 
 def test_centroid_label_permutation():
@@ -80,7 +82,7 @@ def test_centroid_label_permutation():
     swapped = LabeledMatrix(matrix(rows), [1, 1, 0, 0])
     a = centroid_train(data)
     b = centroid_train(swapped)
-    sample = matrix([[2, 1, 1]])
+    sample = matrix([[2, 1, 1]]).to_dense()
     assert centroid_predict(a, sample) == 1 - centroid_predict(b, sample)
 
 
@@ -90,12 +92,44 @@ def test_centroid_scaling_options():
     model = centroid_train(data, l1_normalize=True, std_scale=True)
     # the constant feature has zero variance across centroids and is dropped
     assert len(model.kept_features) == 2
-    assert centroid_predict(model, matrix([[3, 0, 7]])) == 0
+    assert centroid_predict(model, matrix([[3, 0, 7]]).to_dense()) == 0
 
 
 def test_centroid_single_class_rejected():
     with pytest.raises(DegenerateTraining):
         centroid_train(LabeledMatrix(matrix([[1], [2]]), [3, 3]))
+
+
+def test_nb_predict_rejects_empty_rows():
+    model = nb_train(LabeledMatrix(matrix([[3, 0], [0, 3]]), [0, 1]))
+    with pytest.raises(DimensionMismatch):
+        nb_predict(model, np.zeros((0, 2)))
+
+
+def test_centroid_predict_rejects_empty_sample():
+    model = centroid_train(LabeledMatrix(matrix([[4, 0], [0, 3]]), [0, 1]))
+    with pytest.raises(DimensionMismatch):
+        centroid_predict(model, np.zeros((0, 2)))
+
+
+def test_labeled_matrix_densifies_once():
+    sparse = matrix([[1, 0, 2], [0, 3, 0]])
+    data = LabeledMatrix(sparse, [0, 1])
+    assert isinstance(data.matrix, np.ndarray)
+    assert np.array_equal(data.matrix, sparse.to_dense())
+    rows = np.array([[1.0, 2.0]])
+    assert LabeledMatrix(rows, [0]).matrix is rows
+
+
+def test_accuracy_over_resamples_pinned_on_labelled_ladder():
+    # the scores of the dict-of-keys implementation, which rebuilt sparse
+    # submatrices for every resample, on the same corpus and seeds
+    texts, labels = labelled_ladder(120, 0, 0.7)
+    comp, _, model = bon_compress(ingest(texts), 4, 1)
+    scores = accuracy_over_resamples(LabeledMatrix(top_features(comp, model), labels), 10, 0)
+    assert scores == {"nb_accuracy": 0.7555555555555555,
+                      "centroid_accuracy": 0.8333333333333334,
+                      "majority_baseline": 1 / 3}
 
 
 def test_labeled_matrix_shape_check():
