@@ -37,6 +37,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _grid(text: str) -> str:
+    """Check that text is a comma-separated list of numbers; keep it as
+    written, since the run configuration records it verbatim."""
+    try:
+        [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+    return text
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("input", help="corpus file (one document per line) or directory")
     p.add_argument("--mode", choices=["char", "token"], default="char")
@@ -76,7 +87,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("path", help="sweep the dictionary pointer cost")
     _add_common(p)
-    p.add_argument("--grid", required=True,
+    p.add_argument("--grid", required=True, type=_grid,
                    help="comma-separated ascending lambda values")
 
     p = sub.add_parser("eval", help="classifier harness on a synthetic corpus "

@@ -4,14 +4,15 @@ Documents are interned over a symbol table (single characters in char mode,
 whitespace-delimited tokens in token mode).  Candidate n-grams are all
 distinct substrings up to a maximum length that occur at least a minimum
 number of times across the corpus; substrings never cross document
-boundaries.  Candidates are enumerated per document with a suffix automaton
-and merged, so ids are deterministic: sorted by length, then by symbol ids.
+boundaries.  Candidates are enumerated by one scan over every (document,
+start, length) window, and ids are deterministic: sorted by length, then by
+symbol ids.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyCorpus, EmptyDocument, InvalidParam
 
@@ -128,13 +129,8 @@ class CandidateSet:
     strings: list[tuple[int, ...]]
     occurrences: list[list[tuple[int, int]]]
     substring_index: list[list[tuple[int, int]]]
-    max_len: int
     min_count: int
-    index: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.index:
-            self.index = {s: i for i, s in enumerate(self.strings)}
+    index: dict[tuple[int, ...], int]  # string -> candidate id
 
     def __len__(self) -> int:
         return len(self.strings)
@@ -152,58 +148,6 @@ class CandidateSet:
         return cid
 
 
-class _SuffixAutomaton:
-    """Suffix automaton over one symbol sequence, with end positions."""
-
-    def __init__(self, seq) -> None:
-        self.next: list[dict[int, int]] = [{}]
-        self.link: list[int] = [-1]
-        self.length: list[int] = [0]
-        self.endpos: list[list[int]] = [[]]
-        last = 0
-        for i, sym in enumerate(seq):
-            cur = self._new_state(self.length[last] + 1)
-            self.endpos[cur].append(i)
-            p = last
-            while p >= 0 and sym not in self.next[p]:
-                self.next[p][sym] = cur
-                p = self.link[p]
-            if p == -1:
-                self.link[cur] = 0
-            else:
-                q = self.next[p][sym]
-                if self.length[p] + 1 == self.length[q]:
-                    self.link[cur] = q
-                else:
-                    clone = self._new_state(self.length[p] + 1)
-                    self.next[clone] = dict(self.next[q])
-                    self.link[clone] = self.link[q]
-                    while p >= 0 and self.next[p].get(sym) == q:
-                        self.next[p][sym] = clone
-                        p = self.link[p]
-                    self.link[q] = clone
-                    self.link[cur] = clone
-            last = cur
-        self._aggregate_endpos()
-
-    def _new_state(self, length: int) -> int:
-        self.next.append({})
-        self.link.append(-1)
-        self.length.append(length)
-        self.endpos.append([])
-        return len(self.next) - 1
-
-    def _aggregate_endpos(self) -> None:
-        # propagate end positions up the suffix-link tree, longest first
-        order = sorted(range(1, len(self.next)), key=lambda s: -self.length[s])
-        for st in order:
-            parent = self.link[st]
-            if parent > 0:
-                self.endpos[parent].extend(self.endpos[st])
-        for st in range(1, len(self.next)):
-            self.endpos[st].sort()
-
-
 def enumerate_candidates(corpus: Corpus, max_len: int, min_count: int) -> CandidateSet:
     """All distinct substrings of length <= max_len occurring >= min_count
     times in the corpus, with full occurrence lists."""
@@ -213,39 +157,21 @@ def enumerate_candidates(corpus: Corpus, max_len: int, min_count: int) -> Candid
         raise InvalidParam("min_count must be >= 1")
     occs: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for doc in corpus.docs:
-        sam = _SuffixAutomaton(doc.symbols)
-        # walk the substring trie: every transition path is a distinct substring
-        queue: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-        while queue:
-            state, path = queue.pop()
-            if len(path) >= max_len:
-                continue
-            for sym in sorted(sam.next[state]):
-                nxt = sam.next[state][sym]
-                sub = path + (sym,)
-                starts = occs.setdefault(sub, [])
-                depth = len(sub)
-                for end in sam.endpos[nxt]:
-                    starts.append((doc.id, end - depth + 2))
-                queue.append((nxt, sub))
-    kept = sorted((s for s, o in occs.items() if len(o) >= min_count),
-                  key=lambda s: (len(s), s))
-    strings = list(kept)
+        seq = doc.symbols
+        for start in range(len(seq)):
+            for end in range(start + 1, min(start + max_len, len(seq)) + 1):
+                occs.setdefault(seq[start:end], []).append((doc.id, start + 1))
+    strings = sorted((s for s, o in occs.items() if len(o) >= min_count),
+                     key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(strings)}
-    occurrences = [sorted(occs[s]) for s in strings]
-    substring_index: list[list[tuple[int, int]]] = []
-    for s in strings:
-        subs: list[tuple[int, int]] = []
-        longest_sub = min(len(s) - 1, max_len)
-        for start in range(len(s)):
-            for sub_len in range(2, longest_sub + 1):
-                if start + sub_len > len(s):
-                    break
-                cid = index.get(s[start:start + sub_len])
-                if cid is not None:
-                    subs.append((cid, start + 1))
-        substring_index.append(subs)
-    return CandidateSet(strings, occurrences, substring_index, max_len, min_count)
+    # the scan visits (doc, start) in order, so every list is already sorted
+    occurrences = [occs[s] for s in strings]
+    # a substring occurs wherever its superstring does, so it is a candidate too
+    substring_index = [[(index[s[start:end]], start + 1)
+                        for start in range(len(s))
+                        for end in range(start + 2, len(s) + 1) if end - start < len(s)]
+                       for s in strings]
+    return CandidateSet(strings, occurrences, substring_index, min_count, index)
 
 
 @dataclass
@@ -270,11 +196,11 @@ def equivalence_classes(candidates: CandidateSet, corpus: Corpus) -> Equivalence
     for cid in range(len(candidates)):
         key = tuple(candidates.occurrences[cid])
         groups.setdefault(key, []).append(cid)
-    classes = sorted(groups.values(), key=lambda members: members[0])
+    # ids are grouped in ascending order: classes by first member, members within
+    classes = list(groups.values())
     class_of = [0] * len(candidates)
     reps = []
     for ci, members in enumerate(classes):
-        members.sort()
         for cid in members:
             class_of[cid] = ci
         reps.append(max(members, key=candidates.length))

@@ -2,23 +2,24 @@
 diffusion, DAG export, and summary statistics.
 
 The feature space is the dictionary strings (by candidate id) followed by
-the alphabet characters; character feature names are written [c].  The
-document matrix counts document-pointer sources per document.  The
-dictionary matrix counts each member string's reconstruction sources (its
-character rows are zero), so it is nilpotent: its nonzeros form a DAG, and
-diffusion spreads the document counts down that DAG in one pass, layer by
-layer, with one matrix product per layer.
+the alphabet characters; character feature names are written [c].  Matrices
+are held as row-major coordinate arrays of their nonzeros.  The document
+matrix counts document-pointer sources per document.  The dictionary matrix
+counts each member string's reconstruction sources (its character rows are
+zero), so it is nilpotent: its nonzeros form a DAG, and diffusion spreads
+the document counts down that DAG in one pass, layer by layer, with one
+matrix product per layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParam
+from .errors import DimensionMismatch, InvalidParam, NumericalFailure
 from .lp import Compression
-from .model import DICT_CHAR, ModelInstance
+from .model import DICT_CHAR, ModelInstance, Pointer
 
 
 @dataclass(frozen=True)
@@ -50,34 +51,51 @@ def feature_space(comp: Compression, model: ModelInstance) -> FeatureSpace:
 
 @dataclass
 class SparseMatrix:
-    """Triplet-style sparse matrix with nonnegative values."""
+    """Sparse matrix in coordinate form: rows, cols and values hold one entry
+    per nonzero position, in row-major order.  Build it with from_triplets
+    or from_dense, which keep that order."""
 
     n_rows: int
     n_cols: int
-    entries: dict[tuple[int, int], float] = field(default_factory=dict)
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
-    def add(self, r: int, c: int, v: float) -> None:
-        if v == 0.0:
-            return
-        key = (r, c)
-        cur = self.entries.get(key, 0.0) + v
-        if cur == 0.0:
-            self.entries.pop(key, None)
-        else:
-            self.entries[key] = cur
+    @classmethod
+    def from_triplets(cls, n_rows: int, n_cols: int, rows, cols, values) -> SparseMatrix:
+        """Sum the values given for each position, in input order, and drop
+        the positions whose sum is zero."""
+        keys = np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(cols, dtype=np.int64)
+        positions, inverse = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inverse, weights=np.asarray(values, dtype=float),
+                           minlength=len(positions))
+        kept = sums != 0.0
+        positions = positions[kept]
+        return cls(n_rows, n_cols, positions // n_cols, positions % n_cols, sums[kept])
 
-    def get(self, r: int, c: int) -> float:
-        return self.entries.get((r, c), 0.0)
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> SparseMatrix:
+        rows, cols = np.nonzero(dense)
+        return cls(dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols])
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
-        for (r, c), v in self.entries.items():
-            out[r, c] = v
+        out[self.rows, self.cols] = self.values
         return out
+
+
+def _source_column(ptr: Pointer, col: dict[int, int], space: FeatureSpace,
+                   model: ModelInstance) -> int | None:
+    """Feature column a pointer's source counts on: a unigram use inside the
+    dictionary counts on its character column, any other pointer on its
+    source string's column (None when that string is not a feature)."""
+    if ptr.kind == DICT_CHAR:
+        return space.char_feature(model.candidates.strings[ptr.source][0])
+    return col.get(ptr.source)
 
 
 def top_features(comp: Compression, model: ModelInstance,
@@ -86,10 +104,10 @@ def top_features(comp: Compression, model: ModelInstance,
     stay zero)."""
     space = space or feature_space(comp, model)
     col = {cid: i for i, cid in enumerate(space.string_ids)}
-    mat = SparseMatrix(len(model.corpus.docs), space.size)
-    for ptr in comp.doc_pointers:
-        mat.add(ptr.target, col[ptr.source], 1.0)
-    return mat
+    ptrs = comp.doc_pointers
+    return SparseMatrix.from_triplets(
+        len(model.corpus.docs), space.size, [ptr.target for ptr in ptrs],
+        [_source_column(ptr, col, space, model) for ptr in ptrs], np.ones(len(ptrs)))
 
 
 def dict_matrix(comp: Compression, model: ModelInstance,
@@ -99,15 +117,10 @@ def dict_matrix(comp: Compression, model: ModelInstance,
     the character columns; character rows are zero."""
     space = space or feature_space(comp, model)
     col = {cid: i for i, cid in enumerate(space.string_ids)}
-    mat = SparseMatrix(space.size, space.size)
-    for ptr in comp.dict_pointers:
-        r = col[ptr.target]
-        if ptr.kind == DICT_CHAR:
-            sym = model.candidates.strings[ptr.source][0]
-            mat.add(r, space.char_feature(sym), 1.0)
-        else:
-            mat.add(r, col[ptr.source], 1.0)
-    return mat
+    ptrs = comp.dict_pointers
+    return SparseMatrix.from_triplets(
+        space.size, space.size, [col[ptr.target] for ptr in ptrs],
+        [_source_column(ptr, col, space, model) for ptr in ptrs], np.ones(len(ptrs)))
 
 
 def diffuse(top: SparseMatrix, dictionary: SparseMatrix, rho: float = 1.0,
@@ -136,23 +149,20 @@ def diffuse(top: SparseMatrix, dictionary: SparseMatrix, rho: float = 1.0,
     waiting = uses.sum(axis=0)  # per column: users not yet final
     done = np.zeros(g.shape[0], dtype=bool)
     layer = np.flatnonzero(waiting == 0)
-    while layer.size:
-        above = np.flatnonzero(uses[:, layer].any(axis=1))
-        if above.size:
-            x[:, layer] += rho * (x[:, above] @ g[np.ix_(above, layer)])
-        done[layer] = True
-        waiting -= uses[layer].sum(axis=0)
-        layer = np.flatnonzero((waiting == 0) & ~done)
+    # an overflow fails the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while layer.size:
+            above = np.flatnonzero(uses[:, layer].any(axis=1))
+            if above.size:
+                x[:, layer] += rho * (x[:, above] @ g[np.ix_(above, layer)])
+            done[layer] = True
+            waiting -= uses[layer].sum(axis=0)
+            layer = np.flatnonzero((waiting == 0) & ~done)
     if not done.all():
         raise InvalidParam("dictionary matrix is not nilpotent")
-    del g, uses
-    # entries are nonnegative, so every entry of top stays nonzero; an update
-    # keeps top's key objects, and only new nonzeros allocate a key
-    out = SparseMatrix(top.n_rows, top.n_cols, dict(top.entries))
-    for r, row in enumerate(x):
-        cols = np.flatnonzero(row).tolist()
-        out.entries.update(zip(((r, c) for c in cols), row[cols].tolist()))
-    return out
+    if not np.isfinite(x).all():
+        raise NumericalFailure("diffused features are not finite")
+    return SparseMatrix.from_dense(x)
 
 
 @dataclass
@@ -185,25 +195,23 @@ def fractional_features(solution, model: ModelInstance, eps: float = 1e-6):
                     if solution.string_value(cid) > eps)
     space = FeatureSpace(support, tuple(range(len(model.corpus.table))))
     col = {cid: i for i, cid in enumerate(support)}
-    top = SparseMatrix(len(model.corpus.docs), space.size)
-    for i, ptr in enumerate(model.doc_pointers):
-        w = solution.doc_value(i)
-        if w > eps and ptr.source in col:
-            top.add(ptr.target, col[ptr.source], w)
-    dictionary = SparseMatrix(space.size, space.size)
-    for i, ptr in enumerate(model.dict_pointers):
-        w = solution.dict_value(i)
-        if w <= eps or ptr.target not in col:
-            continue
-        r = col[ptr.target]
-        if ptr.kind == DICT_CHAR:
-            sym = model.candidates.strings[ptr.source][0]
-            dictionary.add(r, space.char_feature(sym), w)
-        else:
-            if ptr.source in col:
-                dictionary.add(r, col[ptr.source], w)
+    top = _weighted(len(model.corpus.docs), space.size, eps, [
+        (ptr.target, _source_column(ptr, col, space, model), solution.doc_value(i))
+        for i, ptr in enumerate(model.doc_pointers)])
+    dictionary = _weighted(space.size, space.size, eps, [
+        (col.get(ptr.target), _source_column(ptr, col, space, model),
+         solution.dict_value(i))
+        for i, ptr in enumerate(model.dict_pointers)])
     weights = [solution.string_value(cid) for cid in support]
     return space, top, dictionary, weights
+
+
+def _weighted(n_rows: int, n_cols: int, eps: float, entries) -> SparseMatrix:
+    """Sum the (row, column, weight) entries that have a row and a column
+    and a weight above eps."""
+    kept = [e for e in entries if e[0] is not None and e[1] is not None and e[2] > eps]
+    return SparseMatrix.from_triplets(n_rows, n_cols, [e[0] for e in kept],
+                                      [e[1] for e in kept], [e[2] for e in kept])
 
 
 def string_layers(comp: Compression, model: ModelInstance) -> dict[int, int]:
@@ -254,12 +262,6 @@ def stats(comp: Compression, model: ModelInstance) -> dict:
     }
 
 
-def _format_value(v: float) -> str:
-    if v == int(v):
-        return str(int(v))
-    return repr(v)
-
-
 def write_matrix(path: str, mat: SparseMatrix, header_lines: list[str]) -> None:
     """Triplet file: comment header, then 'rows cols nnz', then one
     'row col value' triplet per line (0-based)."""
@@ -267,19 +269,18 @@ def write_matrix(path: str, mat: SparseMatrix, header_lines: list[str]) -> None:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"{mat.n_rows} {mat.n_cols} {mat.nnz}\n")
-        for (r, c) in sorted(mat.entries):
-            fh.write(f"{r} {c} {_format_value(mat.entries[(r, c)])}\n")
+        fh.writelines(f"{r} {c} {int(v) if v.is_integer() else v!r}\n" for r, c, v in
+                      zip(mat.rows.tolist(), mat.cols.tolist(), mat.values.tolist()))
 
 
 def read_matrix(path: str) -> SparseMatrix:
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
     n_rows, n_cols, nnz = (int(x) for x in lines[0].split())
-    mat = SparseMatrix(n_rows, n_cols)
-    for ln in lines[1:nnz + 1]:
-        r, c, v = ln.split()
-        mat.entries[(int(r), int(c))] = float(v)
-    return mat
+    fields = [ln.split() for ln in lines[1:nnz + 1]]
+    return SparseMatrix.from_triplets(n_rows, n_cols, [int(f[0]) for f in fields],
+                                      [int(f[1]) for f in fields],
+                                      [float(f[2]) for f in fields])
 
 
 def write_names(path: str, names: list[str], header_lines: list[str]) -> None:

@@ -203,7 +203,10 @@ def accuracy_over_resamples(data: LabeledMatrix, n_resamples: int, seed: int,
 
 def read_labels(path: str) -> list[int]:
     with open(path, encoding="utf-8") as fh:
-        return [int(line) for line in fh.read().split()]
+        try:
+            return [int(word) for word in fh.read().split()]
+        except ValueError as exc:  # also an undecodable file
+            raise InvalidParam(f"labels must be integers: {exc}") from None
 
 
 def write_labels(path: str, labels: list[int]) -> None:

@@ -34,7 +34,6 @@ class CompressJob:
     cuts: bool = False
     cfl_mode: bool = False
     exact_if_small: bool = False
-    exact_limit: int = EXACT_LIMIT
     dict_cost_mode: str = CONSTANT_DICT_COST
 
 
@@ -86,9 +85,9 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
     checker and the report carries the relaxation/rounding diagnostics."""
     model = build_job_model(job)
     n_vars = len(model.candidates) + len(model.doc_pointers) + len(model.dict_pointers)
-    if job.exact_if_small and len(model.candidates) <= job.exact_limit:
+    if job.exact_if_small and len(model.candidates) <= EXACT_LIMIT:
         classes = equivalence_classes(model.candidates, job.corpus) if job.cuts else None
-        comp = exact_solve(model, limit=job.exact_limit, classes=classes)
+        comp = exact_solve(model, limit=EXACT_LIMIT, classes=classes)
         report = _report("exact", None, comp, model, n_vars, 0, None)
         _assert_valid(comp, model)
         return comp, report, model

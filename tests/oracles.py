@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here works on raw text and plain tuples, separately from the
-package's suffix-automaton, DP, and LP machinery, so the two sides can be
-cross-checked against each other.
+package's candidate scan, DP, and LP machinery, so the two sides can be
+cross-checked against each other.  entries and same_entries read a
+feature matrix's coordinate arrays back as plain values.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+
+import numpy as np
 
 
 def split_symbols(text: str, mode: str = "char") -> list[str]:
@@ -145,6 +148,18 @@ def naive_exact(model, limit: int = 20) -> float:
         if feasible and cost < best:
             best = cost
     return best
+
+
+def entries(mat) -> dict[tuple[int, int], float]:
+    """A feature matrix's nonzeros as {(row, col): value}."""
+    return dict(zip(zip(mat.rows.tolist(), mat.cols.tolist()), mat.values.tolist()))
+
+
+def same_entries(a, b) -> bool:
+    """Exact equality of two feature matrices: shape, rows, cols and values."""
+    return ((a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
+            and all(np.array_equal(getattr(a, k), getattr(b, k))
+                    for k in ("rows", "cols", "values")))
 
 
 def random_corpus(rng, n_docs=1, max_doc_len=10, alphabet="abc",

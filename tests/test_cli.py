@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from deepdict import cli, simplex
 from deepdict.features import read_matrix
 from deepdict.pipeline import PathResult
 
-from oracles import bon_counts, ladder_texts
+from oracles import bon_counts, ladder_texts, same_entries
 
 
 def write_corpus_file(tmp_path, name, lines):
@@ -148,7 +149,7 @@ def test_features_bon_matches_counter(tmp_path):
              if not ln.startswith("#")]
     counts = bon_counts(["abab"], 2, 1)
     got = {}
-    for (r, c), v in x.entries.items():
+    for c, v in zip(x.cols.tolist(), x.values.tolist()):
         got[names[c]] = v
     assert got == {"".join(s): float(v) for s, v in counts.items()}
     assert os.path.exists(os.path.join(out, "dag.txt"))
@@ -161,7 +162,41 @@ def test_features_flat_rho_zero_equals_top(tmp_path):
                      "--rho", "0", "--out", out]) == 0
     x = read_matrix(os.path.join(out, "X.mtx"))
     xhat = read_matrix(os.path.join(out, "Xhat.mtx"))
-    assert x.entries == xhat.entries
+    assert same_entries(x, xhat)
+
+
+@pytest.mark.filterwarnings("error")
+def test_features_non_finite_diffusion_exits_3(tmp_path, capsys):
+    # at rho 1e308 the counts passed down the dictionary DAG overflow; the run
+    # must end as a numerical failure, without a warning or a traceback
+    inp = write_corpus_file(tmp_path, "ab.txt", ["ababab"])
+    assert cli.main(["features", inp, "--min-count", "1", "--flat", "--rho", "1e308",
+                     "--out", str(tmp_path / "o")]) == 3
+    assert "not finite" in capsys.readouterr().err
+
+
+# sha256 of the matrices that the dict-of-keys SparseMatrix, before the
+# coordinate-array form, wrote for the run in the test below
+PINNED_FRACTIONAL_FILES = {
+    "X.mtx": "cd98e4294913707022b91b8510900bfc2a3190adfe0f5a7542ccd29de153e15c",
+    "G.mtx": "d2e23dc47011cf6e5663cc4f1aa42115e21f678ee12ff6f7a3374881ed201b33",
+    "Xhat.mtx": "1fdf3ca23124c4f7a4cebd42a400188bac7abdb97980f681e8b61570f71a6146",
+    "Xfrac.mtx": "9b3f95a0e2cd30b786fbcee14da8f696be2f58bfbb04cbc1834cdd5769da7747",
+    "Gfrac.mtx": "ba6bb78561c018403c47f30536024459d1a2b05b75cac86605045119505f457e",
+    "Xfrac_hat.mtx": "3e69d96a90ccae2ac0e8143cc96e64a3ac07416e93cd9a9cc9f4f46cd371d30c",
+}
+
+
+def test_features_fractional_files_pinned(tmp_path, monkeypatch):
+    # the 5-document ladder's cut LP at lambda 0.25 is fractional; relative
+    # paths keep the header lines fixed
+    monkeypatch.chdir(tmp_path)
+    write_corpus_file(tmp_path, "corpus.txt", ladder_texts(5, random.Random(0)))
+    assert cli.main(["features", "corpus.txt", "--fractional", "--flat", "--normalize",
+                     "--rho", "0.5", "--cuts", "--lambda", "0.25", "--out", "feat"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "feat" / name).read_bytes()).hexdigest()
+               for name in PINNED_FRACTIONAL_FILES}
+    assert digests == PINNED_FRACTIONAL_FILES
 
 
 def test_features_deterministic_rerun(tmp_path):
@@ -248,6 +283,23 @@ def test_eval_label_mismatch_exits_2(tmp_path):
     labels.write_text("0\n", encoding="utf-8")
     assert cli.main(["eval", "--input", inp, "--labels", str(labels),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["path", "{docs}", "--grid", "1,a"], 1, "usage error"),
+    (["path", "{docs}", "--grid", ","], 1, "usage error"),
+    (["eval", "--input", "{docs}", "--labels", "{labels}"], 2, "labels must be integers"),
+])
+def test_bad_values_end_with_documented_code(tmp_path, capsys, argv, code, message):
+    paths = {"docs": write_corpus_file(tmp_path, "docs.txt", ["abab", "baba"]),
+             "labels": write_corpus_file(tmp_path, "labels.txt", ["0", "x"])}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "o")]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert message in capsys.readouterr().err
 
 
 def test_eval_reports_accuracies(tmp_path, capsys):

@@ -6,7 +6,7 @@ from deepdict.corpus import (CHAR, TOKEN, enumerate_candidates, equivalence_clas
                              ingest, read_corpus, write_corpus)
 from deepdict.errors import EmptyCorpus, EmptyDocument, InvalidParam
 
-from oracles import brute_candidates, follower_classes
+from oracles import brute_candidates, follower_classes, split_symbols
 
 
 def cand_texts(corpus, candidates):
@@ -78,17 +78,30 @@ def test_enumerate_param_validation():
 
 def test_enumerate_matches_bruteforce_on_random_strings():
     rng = random.Random(20240811)
+    cases = []
     for _ in range(60):
         n_docs = rng.randint(1, 3)
         alphabet = "abcd"[:rng.randint(1, 4)]
         texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 30)))
                  for _ in range(n_docs)]
-        max_len = rng.randint(1, 6)
-        min_count = rng.randint(1, 3)
-        corpus = ingest(texts, CHAR)
+        cases.append((texts, CHAR, rng.randint(1, 6), rng.randint(1, 3)))
+    for _ in range(30):
+        words = ("ab", "b", "ba", "c")[:rng.randint(1, 4)]
+        texts = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 15)))
+                 for _ in range(rng.randint(1, 3))]
+        cases.append((texts, TOKEN, rng.randint(1, 6), rng.randint(1, 3)))
+    # max_len longer than every document
+    for mode in (CHAR, TOKEN):
+        for _ in range(10):
+            texts = [" ".join(rng.choice("ab") for _ in range(rng.randint(1, 8)))
+                     for _ in range(rng.randint(1, 3))]
+            longest = max(len(split_symbols(t, mode)) for t in texts)
+            cases.append((texts, mode, longest + rng.randint(1, 4), rng.randint(1, 2)))
+    for texts, mode, max_len, min_count in cases:
+        corpus = ingest(texts, mode)
         candidates = enumerate_candidates(corpus, max_len, min_count)
         assert cand_texts(corpus, candidates) == brute_candidates(
-            texts, max_len, min_count)
+            texts, max_len, min_count, mode)
 
 
 def test_candidate_ordering_deterministic():

@@ -12,7 +12,7 @@ from deepdict.lp import Compression, build_lp, compression_errors, solve_lp
 from deepdict.model import DICT_CHAR, DICT_STRING, DOCUMENT, Pointer, build_model
 from deepdict.pipeline import CompressJob, bon_compress, build_job_model, compress
 
-from oracles import bon_counts, labelled_ladder, random_corpus
+from oracles import bon_counts, entries, labelled_ladder, random_corpus, same_entries
 
 
 def nested_example():
@@ -43,10 +43,11 @@ def test_top_features_counts_document_pointers():
     space = feature_space(comp, model)
     x = top_features(comp, model, space)
     assert x.n_rows == 1 and x.n_cols == 2 + 2
-    assert x.get(0, space.string_feature(abab)) == 1.0
-    assert x.get(0, space.string_feature(ab)) == 1.0
+    dense = x.to_dense()
+    assert dense[0, space.string_feature(abab)] == 1.0
+    assert dense[0, space.string_feature(ab)] == 1.0
     for sym in range(2):
-        assert x.get(0, space.char_feature(sym)) == 0.0
+        assert dense[0, space.char_feature(sym)] == 0.0
 
 
 def test_dict_matrix_counts_reconstruction_sources():
@@ -55,13 +56,13 @@ def test_dict_matrix_counts_reconstruction_sources():
     g = dict_matrix(comp, model, space)
     r_abab = space.string_feature(abab)
     r_ab = space.string_feature(ab)
-    assert g.get(r_abab, r_ab) == 2.0
-    assert g.get(r_ab, space.char_feature(0)) == 1.0
-    assert g.get(r_ab, space.char_feature(1)) == 1.0
+    dense = g.to_dense()
+    assert dense[r_abab, r_ab] == 2.0
+    assert dense[r_ab, space.char_feature(0)] == 1.0
+    assert dense[r_ab, space.char_feature(1)] == 1.0
     # character rows stay zero
     for c in range(g.n_cols):
-        assert g.get(space.char_feature(0), c) == 0.0
-    dense = g.to_dense()
+        assert dense[space.char_feature(0), c] == 0.0
     power = np.linalg.matrix_power(dense, g.n_rows + 1)
     assert np.all(power == 0.0)
 
@@ -71,11 +72,11 @@ def test_diffuse_hand_example():
     space = feature_space(comp, model)
     x = top_features(comp, model, space)
     g = dict_matrix(comp, model, space)
-    xhat = diffuse(x, g, rho=1.0)
-    assert xhat.get(0, space.string_feature(abab)) == 1.0
-    assert xhat.get(0, space.string_feature(ab)) == 3.0
-    assert xhat.get(0, space.char_feature(0)) == 3.0
-    assert xhat.get(0, space.char_feature(1)) == 3.0
+    xhat = diffuse(x, g, rho=1.0).to_dense()
+    assert xhat[0, space.string_feature(abab)] == 1.0
+    assert xhat[0, space.string_feature(ab)] == 3.0
+    assert xhat[0, space.char_feature(0)] == 3.0
+    assert xhat[0, space.char_feature(1)] == 3.0
 
 
 def test_diffuse_rho_zero_is_identity():
@@ -83,7 +84,7 @@ def test_diffuse_rho_zero_is_identity():
     x = top_features(comp, model)
     g = dict_matrix(comp, model)
     xhat = diffuse(x, g, rho=0.0)
-    assert xhat.entries == x.entries
+    assert same_entries(xhat, x)
 
 
 def test_diffuse_matches_linear_solve():
@@ -106,31 +107,32 @@ def test_diffuse_normalization_scales_outflow():
     g = dict_matrix(comp, model, space)
     weights = [1.0, 1.0]
     weights[space.string_feature(abab)] = 0.5
-    xhat = diffuse(x, g, rho=1.0, normalize=weights)
+    xhat = diffuse(x, g, rho=1.0, normalize=weights).to_dense()
     # abab's row is scaled by 1/0.5, doubling what it passes to ab
-    assert xhat.get(0, space.string_feature(ab)) == pytest.approx(1.0 + 4.0)
+    assert xhat[0, space.string_feature(ab)] == pytest.approx(1.0 + 4.0)
 
 
 def test_diffuse_validation():
-    x = SparseMatrix(1, 2, {(0, 0): 1.0})
-    g = SparseMatrix(2, 2)
+    x = SparseMatrix.from_triplets(1, 2, [0], [0], [1.0])
+    g = SparseMatrix.from_triplets(2, 2, [], [], [])
     with pytest.raises(InvalidParam):
         diffuse(x, g, rho=-1.0)
     with pytest.raises(InvalidParam):
         diffuse(x, g, rho=1.0, normalize=[0.0, 1.0])
     with pytest.raises(DimensionMismatch):
-        diffuse(SparseMatrix(1, 3, {(0, 0): 1.0}), g)
+        diffuse(SparseMatrix.from_triplets(1, 3, [0], [0], [1.0]), g)
 
 
 def series_diffuse(top, dictionary, rho=1.0, normalize=None):
     """Reference diffusion: top @ (I + sum_n (rho*G')^n) accumulated term by
-    term on dict-of-keys entries until a term is empty."""
+    term on {(row, col): value} dicts until a term is empty."""
     scale = normalize or [1.0] * dictionary.n_rows
     by_row = {}
-    for (r, c), v in dictionary.entries.items():
+    for r, c, v in zip(dictionary.rows.tolist(), dictionary.cols.tolist(),
+                       dictionary.values.tolist()):
         by_row.setdefault(r, []).append((c, v * (1.0 / scale[r])))
-    acc = dict(top.entries)
-    term = dict(top.entries)
+    acc = entries(top)
+    term = entries(top)
     for _ in range(dictionary.n_rows + 1):
         product = {}
         for (r, k), v in term.items():
@@ -158,9 +160,9 @@ def test_diffuse_matches_power_series():
     for comp, _, model in seeded_compressions():
         x = top_features(comp, model)
         g = dict_matrix(comp, model)
-        assert diffuse(x, g, rho=1.0).entries == series_diffuse(x, g)
+        assert entries(diffuse(x, g, rho=1.0)) == series_diffuse(x, g)
         for rho in (0.5, 2.0):
-            got = diffuse(x, g, rho=rho).entries
+            got = entries(diffuse(x, g, rho=rho))
             want = series_diffuse(x, g, rho=rho)
             assert got.keys() == want.keys()
             assert all(abs(got[k] - want[k]) <= 1e-12 * max(1.0, want[k]) for k in want)
@@ -174,38 +176,38 @@ def test_diffuse_matches_power_series_with_normalization():
         solution = solve_lp(build_lp(model))
         _, x, g, weights = fractional_features(solution, model)
         for rho in (0.5, 1.0, 2.0):
-            got = diffuse(x, g, rho=rho, normalize=weights).entries
+            got = entries(diffuse(x, g, rho=rho, normalize=weights))
             want = series_diffuse(x, g, rho=rho, normalize=weights)
             assert got.keys() == want.keys()
             assert all(abs(got[k] - want[k]) <= 1e-12 * max(1.0, want[k]) for k in want)
 
 
 def test_diffuse_rejects_cycle():
-    x = SparseMatrix(1, 3, {(0, 0): 1.0})
-    g = SparseMatrix(3, 3, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0})
+    x = SparseMatrix.from_triplets(1, 3, [0], [0], [1.0])
+    g = SparseMatrix.from_triplets(3, 3, [0, 1, 2], [1, 2, 0], [1.0, 1.0, 1.0])
     with pytest.raises(InvalidParam, match="not nilpotent"):
         diffuse(x, g)
 
 
 def test_diffuse_rejects_non_finite_rho():
-    x = SparseMatrix(1, 2, {(0, 0): 1.0})
-    g = SparseMatrix(2, 2, {(0, 1): 1.0})
+    x = SparseMatrix.from_triplets(1, 2, [0], [0], [1.0])
+    g = SparseMatrix.from_triplets(2, 2, [0], [1], [1.0])
     for rho in (float("inf"), float("nan")):
         with pytest.raises(InvalidParam):
             diffuse(x, g, rho=rho)
 
 
 def test_diffuse_normalization_must_cover_nonzero_rows():
-    x = SparseMatrix(1, 3, {(0, 0): 1.0})
-    g = SparseMatrix(3, 3, {(0, 1): 1.0, (1, 2): 1.0})
-    assert diffuse(x, g, normalize=[2.0, 4.0]).get(0, 2) == 0.125
+    x = SparseMatrix.from_triplets(1, 3, [0], [0], [1.0])
+    g = SparseMatrix.from_triplets(3, 3, [0, 1], [1, 2], [1.0, 1.0])
+    assert diffuse(x, g, normalize=[2.0, 4.0]).to_dense()[0, 2] == 0.125
     with pytest.raises(DimensionMismatch):
         diffuse(x, g, normalize=[2.0])
 
 
 def test_diffuse_normalization_longer_than_matrix():
-    x = SparseMatrix(1, 3, {(0, 0): 1.0})
-    g = SparseMatrix(3, 3, {(0, 1): 1.0, (1, 2): 1.0})
+    x = SparseMatrix.from_triplets(1, 3, [0], [0], [1.0])
+    g = SparseMatrix.from_triplets(3, 3, [0, 1], [1, 2], [1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         diffuse(x, g, normalize=[2.0, 4.0, 1.0, 1.0])
 
@@ -276,23 +278,35 @@ def test_bon_features_match_counter():
     x = top_features(comp, model, space)
     counts = bon_counts(["abab"], 2, 1)
     names = space.names(model)
+    dense = x.to_dense()
     for col, name in enumerate(names[:len(space.string_ids)]):
-        assert x.get(0, col) == counts[tuple(name)]
+        assert dense[0, col] == counts[tuple(name)]
     st = stats(comp, model)
     total = sum(counts.values())
     expected_mnl = sum(len(s) * c for s, c in counts.items()) / total
     assert st["mnl"] == pytest.approx(expected_mnl)
 
 
+def test_sparse_matrix_from_triplets():
+    # repeated positions sum in input order, zero sums drop out, and the
+    # entries come out row-major
+    mat = SparseMatrix.from_triplets(2, 3, [1, 0, 1, 0, 1, 0], [2, 1, 2, 2, 2, 1],
+                                     [0.1, 1.0, 0.2, 3.0, 0.3, -1.0])
+    assert (mat.n_rows, mat.n_cols, mat.nnz) == (2, 3, 2)
+    assert mat.rows.tolist() == [0, 1] and mat.cols.tolist() == [2, 2]
+    assert mat.values.tolist() == [3.0, (0.1 + 0.2) + 0.3]
+    assert same_entries(SparseMatrix.from_dense(mat.to_dense()), mat)
+
+
 def test_matrix_file_roundtrip(tmp_path):
-    mat = SparseMatrix(3, 4, {(0, 1): 2.0, (2, 3): 0.5})
+    mat = SparseMatrix.from_triplets(3, 4, [0, 2], [1, 3], [2.0, 0.5])
     path = tmp_path / "m.mtx"
     write_matrix(str(path), mat, ["deepdict test"])
     text = path.read_text(encoding="utf-8")
     assert text.startswith("# deepdict test\n3 4 2\n")
     again = read_matrix(str(path))
     assert again.n_rows == 3 and again.n_cols == 4
-    assert again.entries == mat.entries
+    assert same_entries(again, mat)
 
 
 def test_names_and_dag_files(tmp_path):
@@ -326,8 +340,8 @@ def test_fractional_export_from_lp_solution():
     # document rows reproduce the pointer weights exactly
     total = sum(solution.doc_value(i) for i in range(len(model.doc_pointers))
                 if solution.doc_value(i) > 1e-6)
-    assert sum(v for (r, c), v in x.entries.items()) == pytest.approx(total)
-    assert all(v > 0 for v in x.entries.values())
+    assert sum(x.values.tolist()) == pytest.approx(total)
+    assert all(v > 0 for v in x.values.tolist())
     # the weighted diffusion runs on the fractional matrices
     xhat = diffuse(x, g, rho=1.0, normalize=weights)
     assert xhat.nnz >= x.nnz

@@ -15,12 +15,7 @@ from oracles import labelled_ladder
 
 
 def matrix(rows):
-    mat = SparseMatrix(len(rows), len(rows[0]))
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if v:
-                mat.entries[(r, c)] = float(v)
-    return mat
+    return SparseMatrix.from_dense(np.array(rows, dtype=float))
 
 
 def test_nb_two_class_toy():
@@ -162,8 +157,8 @@ def test_invariance_check_random_coefficients():
 
 
 def test_invariance_check_dimension_mismatch():
-    x = SparseMatrix(1, 2, {(0, 0): 1.0})
-    g = SparseMatrix(3, 3)
+    x = SparseMatrix.from_triplets(1, 2, [0], [0], [1.0])
+    g = SparseMatrix.from_triplets(3, 3, [], [], [])
     with pytest.raises(DimensionMismatch):
         invariance_check(x, g, np.zeros(3))
 
