@@ -22,7 +22,7 @@ from .errors import DeepdictError, DimensionMismatch, NumericalFailure
 from .features import (dag_export, dict_matrix, diffuse, feature_space,
                        fractional_features, stats, top_features, write_dag,
                        write_matrix, write_names)
-from .lp import exact_solve, intervals
+from .lp import build_lp, exact_solve, solve_lp
 from .pipeline import CompressJob, bon_compress, build_job_model, compress, path_sweep
 
 USAGE_EXIT = 1
@@ -174,14 +174,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     corpus = read_corpus(args.input, args.mode)
-    solution = None
     if args.bon:
         comp, report, model = bon_compress(corpus, args.bon, args.min_count)
-    elif args.fractional:
-        from .lp import build_lp, round_to_compression, solve_lp
-        model = build_job_model(_job(args, corpus))
-        solution = solve_lp(build_lp(model, cuts=args.cuts))
-        comp = round_to_compression(solution, model)
     else:
         comp, report, model = compress(_job(args, corpus))
     header = _config_header(args, "features")
@@ -197,7 +191,8 @@ def cmd_features(args: argparse.Namespace) -> int:
         xhat = diffuse(x, g, rho=args.rho)
         write_matrix(os.path.join(args.out, "Xhat.mtx"), xhat,
                      header + [f"flat: rho={args.rho:.9g}"])
-    if solution is not None:
+    if args.fractional and not args.bon:
+        solution = solve_lp(build_lp(model, cuts=args.cuts))
         frac_header = header + ["fractional: true"]
         fspace, fx, fg, weights = fractional_features(solution, model)
         write_matrix(os.path.join(args.out, "Xfrac.mtx"), fx, frac_header)
@@ -305,7 +300,7 @@ def cmd_recon(args: argparse.Namespace) -> int:
     model = build_job_model(_job(args, corpus))
     if not 0 <= args.doc < len(corpus.docs):
         raise InvalidParam(f"no document {args.doc}")
-    ivs = intervals(model, set(range(len(model.candidates))))[0][args.doc]
+    ivs = [iv for _, iv in model.intervals[0][args.doc]]
     instance = ReconInstance(corpus.docs[args.doc].symbols, ivs)
     print(f"target: {corpus.doc_text(args.doc)}")
     print(f"intervals: {len(ivs)}")

@@ -94,18 +94,23 @@ def read_corpus(path: str, mode: str = CHAR) -> Corpus:
     """Load a corpus from a file (one document per line) or a directory
     (one UTF-8 file per document, filename order)."""
     if os.path.isdir(path):
-        names = sorted(os.listdir(path))
         texts = []
-        for name in names:
-            with open(os.path.join(path, name), encoding="utf-8") as fh:
-                content = fh.read()
+        for name in sorted(os.listdir(path)):
+            content = _read_text(os.path.join(path, name))
             if content.endswith("\n"):
                 content = content[:-1]
             texts.append(content)
     else:
-        with open(path, encoding="utf-8") as fh:
-            texts = fh.read().splitlines()
+        texts = _read_text(path).splitlines()
     return ingest(texts, mode)
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidParam(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def write_corpus(corpus: Corpus, path: str) -> None:
@@ -185,23 +190,17 @@ class EquivalenceClasses:
 
     classes: list[list[int]]
     representative: list[int]
-    class_of: list[int]
 
     def multi_member(self) -> list[list[int]]:
         return [c for c in self.classes if len(c) >= 2]
 
 
-def equivalence_classes(candidates: CandidateSet, corpus: Corpus) -> EquivalenceClasses:
+def equivalence_classes(candidates: CandidateSet) -> EquivalenceClasses:
     groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
     for cid in range(len(candidates)):
         key = tuple(candidates.occurrences[cid])
         groups.setdefault(key, []).append(cid)
     # ids are grouped in ascending order: classes by first member, members within
     classes = list(groups.values())
-    class_of = [0] * len(candidates)
-    reps = []
-    for ci, members in enumerate(classes):
-        for cid in members:
-            class_of[cid] = ci
-        reps.append(max(members, key=candidates.length))
-    return EquivalenceClasses(classes, reps, class_of)
+    reps = [max(members, key=candidates.length) for members in classes]
+    return EquivalenceClasses(classes, reps)

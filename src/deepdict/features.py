@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParam, NumericalFailure
-from .lp import Compression
+from .lp import ROUND_EPS, Compression
 from .model import DICT_CHAR, ModelInstance, Pointer
 
 
@@ -185,20 +185,20 @@ DICT_TO_DICT = "dict-dict"
 DICT_TO_DOC = "dict-doc"
 
 
-def fractional_features(solution, model: ModelInstance, eps: float = 1e-6):
+def fractional_features(solution, model: ModelInstance):
     """Real-valued matrices straight from a relaxation solution, before
     rounding: the feature space is the membership support, document rows
     carry pointer weights, and dictionary rows carry reconstruction
     weights.  Returns (space, top, dictionary, membership weights); files
     written from these should carry a fractional marker in their header."""
     support = tuple(cid for cid in range(len(model.candidates))
-                    if solution.string_value(cid) > eps)
+                    if solution.string_value(cid) > ROUND_EPS)
     space = FeatureSpace(support, tuple(range(len(model.corpus.table))))
     col = {cid: i for i, cid in enumerate(support)}
-    top = _weighted(len(model.corpus.docs), space.size, eps, [
+    top = _weighted(len(model.corpus.docs), space.size, [
         (ptr.target, _source_column(ptr, col, space, model), solution.doc_value(i))
         for i, ptr in enumerate(model.doc_pointers)])
-    dictionary = _weighted(space.size, space.size, eps, [
+    dictionary = _weighted(space.size, space.size, [
         (col.get(ptr.target), _source_column(ptr, col, space, model),
          solution.dict_value(i))
         for i, ptr in enumerate(model.dict_pointers)])
@@ -206,10 +206,10 @@ def fractional_features(solution, model: ModelInstance, eps: float = 1e-6):
     return space, top, dictionary, weights
 
 
-def _weighted(n_rows: int, n_cols: int, eps: float, entries) -> SparseMatrix:
+def _weighted(n_rows: int, n_cols: int, entries) -> SparseMatrix:
     """Sum the (row, column, weight) entries that have a row and a column
-    and a weight above eps."""
-    kept = [e for e in entries if e[0] is not None and e[1] is not None and e[2] > eps]
+    and a weight above ROUND_EPS."""
+    kept = [e for e in entries if e[0] is not None and e[1] is not None and e[2] > ROUND_EPS]
     return SparseMatrix.from_triplets(n_rows, n_cols, [e[0] for e in kept],
                                       [e[1] for e in kept], [e[2] for e in kept])
 

@@ -13,16 +13,21 @@ solve_lp builds the full program once as compressed sparse columns
 the same program as one dense matrix: the reference form that the tests
 compare sparse_program with and solve through simplex.solve.
 
-Rounding keeps every candidate with membership weight above a snap
-threshold, re-solves all reconstructions restricted to that dictionary,
-and prunes strings that end up unused (taking the transitive closure of
-use through string-kind reconstruction pointers, which is the fixed point
-of repeated pruning).
+Once the dictionary is fixed, the program splits into one interval-cover
+DP per document and per member string.  Each model builds its per-target
+interval lists once (ModelInstance.intervals); _solve_members filters them
+by a dictionary and runs the DPs, and rounding, prune_descent and
+exact_solve all evaluate dictionaries through it.  Rounding keeps every
+candidate with membership weight above a snap threshold, re-solves all
+reconstructions restricted to that dictionary, and prunes strings that end
+up unused (taking the transitive closure of use through string-kind
+reconstruction pointers, which is the fixed point of repeated pruning).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +35,9 @@ import numpy as np
 from . import simplex
 from .corpus import EquivalenceClasses, equivalence_classes
 from .errors import Infeasible, InvalidParam, NumericalFailure, TooLarge
-from .model import (CONSTANT_DICT_COST, DICT_CHAR, DICT_STRING, ModelInstance,
+from .model import (CONSTANT_DICT_COST, DICT_STRING, ModelInstance,
                     Pointer, pointer_is_valid)
-from .recon import Interval, ReconInstance, solve_dp
+from .recon import ReconInstance, ReconResult, solve_dp
 
 ROUND_EPS = 1e-6
 
@@ -81,9 +86,9 @@ class LPSolution:
         model = self.instance.model
         return float(self.values[len(model.candidates) + len(model.doc_pointers) + i])
 
-    def is_integral(self, eps: float = ROUND_EPS) -> bool:
+    def is_integral(self) -> bool:
         v = self.values
-        return bool(np.all((np.abs(v) <= eps) | (np.abs(v - 1.0) <= eps)))
+        return bool(np.all((np.abs(v) <= ROUND_EPS) | (np.abs(v - 1.0) <= ROUND_EPS)))
 
 
 def build_lp(model: ModelInstance, cuts: bool = False,
@@ -96,7 +101,7 @@ def build_lp(model: ModelInstance, cuts: bool = False,
     if scheme is None or scheme.negate or scheme.dict_cost_mode != CONSTANT_DICT_COST:
         raise InvalidParam("equivalence cuts require the symmetric cost scheme")
     if classes is None:
-        classes = equivalence_classes(model.candidates, model.corpus)
+        classes = equivalence_classes(model.candidates)
     return LPInstance(model, classes.multi_member())
 
 
@@ -264,57 +269,39 @@ class Compression:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def intervals(model: ModelInstance, members: set[int]
-              ) -> tuple[list[list[Interval]], dict[int, list[Interval]]]:
-    """The intervals each reconstruction may use under the dictionary
-    members, in one pass over each pointer list: per document (indexed by
-    doc id), its pointers with a member source; per member string (in id
-    order), its character slots and its pointers with a member source.
-    Each list keeps the model's pointer order, which solve_dp's
-    tie-breaking depends on."""
-    length = model.candidates.length
-    doc_iv: list[list[Interval]] = [[] for _ in model.corpus.docs]
-    for i, ptr in enumerate(model.doc_pointers):
-        if ptr.source in members:
-            doc_iv[ptr.target].append(Interval(ptr.location, length(ptr.source),
-                                               model.costs.doc_costs[i], i))
-    dict_iv: dict[int, list[Interval]] = {cid: [] for cid in sorted(members)}
-    for i, ptr in enumerate(model.dict_pointers):
-        if ptr.target in dict_iv and (ptr.kind == DICT_CHAR or ptr.source in members):
-            dict_iv[ptr.target].append(Interval(ptr.location, length(ptr.source),
-                                                model.costs.dict_costs[i], i))
-    return doc_iv, dict_iv
+def _solve_members(model: ModelInstance, members: set[int]
+                   ) -> tuple[list[ReconResult], dict[int, ReconResult]]:
+    """The cheapest reconstruction of every document (in doc id order) and
+    of every member string (in id order) under the dictionary members.
+    Each target keeps its intervals whose source is a member, and its
+    character slots; raises Infeasible when a target cannot be covered."""
+    def kept(pairs):
+        return [iv for source, iv in pairs if source is None or source in members]
+
+    doc_iv, dict_iv = model.intervals
+    docs = [solve_dp(ReconInstance(doc.symbols, kept(doc_iv[doc.id])))
+            for doc in model.corpus.docs]
+    strings = {cid: solve_dp(ReconInstance(model.candidates.strings[cid], kept(dict_iv[cid])))
+               for cid in sorted(members)}
+    return docs, strings
 
 
-def _solve_members(model: ModelInstance,
-                   members: set[int]) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    doc_iv, dict_iv = intervals(model, members)
-    doc_chosen: list[int] = []
-    for doc in model.corpus.docs:
-        result = solve_dp(ReconInstance(doc.symbols, doc_iv[doc.id]))
-        doc_chosen.extend(result.chosen)
-    dict_chosen: dict[int, tuple[int, ...]] = {}
-    for cid, ivs in dict_iv.items():
-        result = solve_dp(ReconInstance(model.candidates.strings[cid], ivs))
-        dict_chosen[cid] = result.chosen
-    return doc_chosen, dict_chosen
-
-
-def _assemble(model: ModelInstance, doc_chosen: list[int],
-              dict_chosen: dict[int, tuple[int, ...]]) -> Compression:
+def _assemble(model: ModelInstance, docs: list[ReconResult],
+              strings: dict[int, ReconResult]) -> Compression:
     """Prune to the transitive closure of actual use (the fixed point of
     dropping unused strings) and price the result."""
+    doc_chosen = [i for res in docs for i in res.chosen]
     used = {model.doc_pointers[i].source for i in doc_chosen}
     frontier = list(used)
     while frontier:
         cid = frontier.pop()
-        for i in dict_chosen[cid]:
+        for i in strings[cid].chosen:
             ptr = model.dict_pointers[i]
             if ptr.kind == DICT_STRING and ptr.source not in used:
                 used.add(ptr.source)
                 frontier.append(ptr.source)
     retained = sorted(used)
-    dict_ptr_idx = sorted(i for cid in retained for i in dict_chosen[cid])
+    dict_ptr_idx = sorted(i for cid in retained for i in strings[cid].chosen)
     doc_ptr_idx = sorted(doc_chosen)
     objective = (sum(model.costs.doc_costs[i] for i in doc_ptr_idx)
                  + sum(model.costs.dict_costs[i] for i in dict_ptr_idx)
@@ -326,11 +313,10 @@ def _assemble(model: ModelInstance, doc_chosen: list[int],
 
 
 def round_to_compression(solution: LPSolution, model: ModelInstance,
-                         eps: float = ROUND_EPS, improve: bool = True) -> Compression:
+                         improve: bool = True) -> Compression:
     members = {cid for cid in range(len(model.candidates))
-               if solution.string_value(cid) > eps}
-    doc_chosen, dict_chosen = _solve_members(model, members)
-    comp = _assemble(model, doc_chosen, dict_chosen)
+               if solution.string_value(cid) > ROUND_EPS}
+    comp = _assemble(model, *_solve_members(model, members))
     if improve:
         comp = prune_descent(comp, model)
     return comp
@@ -361,10 +347,9 @@ def prune_descent(comp: Compression, model: ModelInstance) -> Compression:
         improved = None
         for trial in trials:
             try:
-                doc_chosen, dict_chosen = _solve_members(model, trial)
+                candidate = _assemble(model, *_solve_members(model, trial))
             except Infeasible:
                 continue
-            candidate = _assemble(model, doc_chosen, dict_chosen)
             if candidate.objective < best.objective - 1e-9 and (
                     improved is None or candidate.objective < improved.objective - 1e-9):
                 improved = candidate
@@ -437,83 +422,38 @@ def exact_solve(model: ModelInstance, limit: int = 12,
     reconstruction by DP, and take the cheapest total.  Ties prefer the
     smaller dictionary, then the lexicographically first id tuple.  When
     classes are given, subsets with two members of one class are skipped."""
-    cands = model.candidates
-    ncand = len(cands)
+    ncand = len(model.candidates)
     if ncand > limit:
         raise TooLarge(f"{ncand} candidates exceed the exhaustive limit {limit}")
     if not model.costs.nonnegative():
         raise InvalidParam("exact_solve requires nonnegative costs")
     check_coverable(model)
-
-    doc_iv, dict_iv = intervals(model, set(range(ncand)))
-    cover_mask = {doc.id: [0] * ncand for doc in model.corpus.docs}
-    for doc in model.corpus.docs:
-        for iv in doc_iv[doc.id]:
-            src = model.doc_pointers[iv.pointer].source
-            for pos in range(iv.start - 1, iv.end):
-                cover_mask[doc.id][src] |= 1 << pos
-    full_mask = {doc.id: (1 << len(doc)) - 1 for doc in model.corpus.docs}
-    class_masks = []
-    if classes is not None:
-        for members in classes.multi_member():
-            bits = 0
-            for cid in members:
-                bits |= 1 << cid
-            class_masks.append(bits)
-
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    best_parts = None
-    for mask in range(1, 1 << ncand):
-        skip = False
-        for bits in class_masks:
-            hit = mask & bits
-            if hit and hit & (hit - 1):
-                skip = True
-                break
-        if skip:
-            continue
-        subset = [cid for cid in range(ncand) if mask >> cid & 1]
-        feasible = True
-        for doc in model.corpus.docs:
-            agg = 0
-            for cid in subset:
-                agg |= cover_mask[doc.id][cid]
-            if agg != full_mask[doc.id]:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        member_set = set(subset)
-        cost = 0.0
-        doc_parts = []
-        dict_parts = {}
-        try:
-            for doc in model.corpus.docs:
-                ivs = [iv for iv in doc_iv[doc.id]
-                       if model.doc_pointers[iv.pointer].source in member_set]
-                res = solve_dp(ReconInstance(doc.symbols, ivs))
+    class_sets = [set(members) for members in classes.multi_member()] if classes else []
+    best = None
+    # by size, then lexicographically: the tie order, so only a strictly
+    # cheaper subset replaces the best one
+    for size in range(1, ncand + 1):
+        for subset in itertools.combinations(range(ncand), size):
+            members = set(subset)
+            if any(len(members & cls) > 1 for cls in class_sets):
+                continue
+            try:
+                docs, strings = _solve_members(model, members)
+            except Infeasible:
+                continue
+            cost = 0.0
+            for res in docs:
                 cost += res.cost
-                doc_parts.extend(res.chosen)
-            for cid in subset:
-                ivs = [iv for iv in dict_iv[cid]
-                       if model.dict_pointers[iv.pointer].kind == DICT_CHAR
-                       or model.dict_pointers[iv.pointer].source in member_set]
-                res = solve_dp(ReconInstance(cands.strings[cid], ivs))
+            for cid, res in strings.items():
                 cost += res.cost + model.costs.string_costs[cid]
-                dict_parts[cid] = res.chosen
-        except Infeasible:
-            continue
-        key = (cost, len(subset), tuple(subset))
-        if best is None or cost < best[0] - 1e-9 or (
-                abs(cost - best[0]) <= 1e-9 and key[1:] < best[1:]):
-            best = key
-            best_parts = (tuple(subset), tuple(sorted(doc_parts)),
-                          tuple(sorted(i for c in subset for i in dict_parts[c])))
+            if best is None or cost < best[0] - 1e-9:
+                best = (cost, subset, docs, strings)
     if best is None:
         raise Infeasible("no dictionary subset reconstructs the corpus")
-    subset, doc_idx, dict_idx = best_parts
+    cost, subset, docs, strings = best
+    doc_idx = sorted(i for res in docs for i in res.chosen)
+    dict_idx = sorted(i for res in strings.values() for i in res.chosen)
     return Compression(subset,
                        tuple(model.doc_pointers[i] for i in doc_idx),
                        tuple(model.dict_pointers[i] for i in dict_idx),
-                       best[0])
-
+                       cost)

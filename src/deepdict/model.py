@@ -8,16 +8,20 @@ target (usable whether or not the unigram is in the dictionary) plus, in
 full (deep) mode, one pointer per occurrence of each proper substring of
 length >= 2 that is itself a candidate; those require dictionary
 membership of the source.  Excluded pointers and strings are represented
-by omission and never become variables.
+by omission and never become variables.  A model groups its pointers into
+per-target reconstruction intervals once, the first time they are asked
+for; every dictionary evaluation filters those lists.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .corpus import CandidateSet, Corpus
 from .errors import InvalidParam
+from .recon import Interval
 
 DOCUMENT = "document"
 DICT_CHAR = "dict-char"
@@ -86,6 +90,10 @@ def build_pointers(corpus: Corpus, candidates: CandidateSet,
     return doc_ptrs, dict_ptrs
 
 
+# one target's (source, interval) pairs; source None marks a character slot
+TargetIntervals = list[tuple[int | None, Interval]]
+
+
 @dataclass
 class ModelInstance:
     corpus: Corpus
@@ -94,6 +102,26 @@ class ModelInstance:
     dict_pointers: list[Pointer]
     costs: CostModel
     cfl_mode: bool = False
+
+    @functools.cached_property
+    def intervals(self) -> tuple[list[TargetIntervals], list[TargetIntervals]]:
+        """Every reconstruction interval as a (source, interval) pair, built
+        on first use: per document (indexed by doc id) its pointers, per
+        candidate its character slots (source None: they need no member)
+        and its string pointers.  Each list keeps the model's pointer
+        order, which solve_dp's tie-breaking depends on."""
+        length = self.candidates.length
+        doc_iv: list[TargetIntervals] = [[] for _ in self.corpus.docs]
+        for i, ptr in enumerate(self.doc_pointers):
+            doc_iv[ptr.target].append(
+                (ptr.source, Interval(ptr.location, length(ptr.source),
+                                      self.costs.doc_costs[i], i)))
+        dict_iv: list[TargetIntervals] = [[] for _ in self.candidates.strings]
+        for i, ptr in enumerate(self.dict_pointers):
+            dict_iv[ptr.target].append(
+                (None if ptr.kind == DICT_CHAR else ptr.source,
+                 Interval(ptr.location, length(ptr.source), self.costs.dict_costs[i], i)))
+        return doc_iv, dict_iv
 
 
 def scheme_costs(doc_pointers: list[Pointer], dict_pointers: list[Pointer],

@@ -86,7 +86,7 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
     model = build_job_model(job)
     n_vars = len(model.candidates) + len(model.doc_pointers) + len(model.dict_pointers)
     if job.exact_if_small and len(model.candidates) <= EXACT_LIMIT:
-        classes = equivalence_classes(model.candidates, job.corpus) if job.cuts else None
+        classes = equivalence_classes(model.candidates) if job.cuts else None
         comp = exact_solve(model, limit=EXACT_LIMIT, classes=classes)
         report = _report("exact", None, comp, model, n_vars, 0, None)
         _assert_valid(comp, model)
@@ -182,9 +182,10 @@ class PathResult:
     mnls: list[float]
     fingerprints: list[str] = field(default_factory=list)
 
-    def concavity_violation(self, tol: float = 1e-6) -> float:
-        """Largest shortfall of the objective curve below its chords;
-        values above tol contradict piecewise-linear concavity."""
+    def concavity_violation(self) -> float:
+        """Largest shortfall of the objective curve below its chords; a
+        positive value beyond rounding noise contradicts piecewise-linear
+        concavity."""
         worst = 0.0
         lam, obj = self.lam_grid, self.objectives
         for i in range(1, len(lam) - 1):

@@ -142,7 +142,7 @@ def test_criterion_4_equivalence_class_suite():
         texts = random_small_corpus(rng, length=(2, 14), alphabet="abc")
         corpus = ingest(texts, CHAR)
         candidates = enumerate_candidates(corpus, 6, 1)
-        classes = equivalence_classes(candidates, corpus)
+        classes = equivalence_classes(candidates)
         assert len(classes.classes) <= 2 * corpus.total_symbols - 1
         bound_checked += 1
     unchanged = 0
@@ -158,7 +158,7 @@ def test_criterion_4_equivalence_class_suite():
         if len(candidates) > 10:
             continue
         checked += 1
-        classes = equivalence_classes(candidates, corpus)
+        classes = equivalence_classes(candidates)
         model = build_model(corpus, candidates, 0.0, 1.0, 1.0)
         plain = exact_solve(model)
         with_cuts = exact_solve(model, classes=classes)

@@ -133,6 +133,22 @@ def test_compress_report_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("as_dir", [False, True])
+def test_undecodable_corpus_exits_2(tmp_path, capsys, as_dir):
+    # a data error, reported without a traceback, in either corpus form
+    if as_dir:
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "0.txt").write_bytes(b"abab\n")
+        (tmp_path / "docs" / "1.txt").write_bytes(b"ab\xff\xfeab\n")
+        inp = str(tmp_path / "docs")
+    else:
+        (tmp_path / "bad.txt").write_bytes(b"ab\xff\xfeab\n")
+        inp = str(tmp_path / "bad.txt")
+    assert cli.main(["compress", inp, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8 text" in err and "Traceback" not in err
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         cli.main(["compress"])  # missing input
@@ -197,6 +213,21 @@ def test_features_fractional_files_pinned(tmp_path, monkeypatch):
     digests = {name: hashlib.sha256((tmp_path / "feat" / name).read_bytes()).hexdigest()
                for name in PINNED_FRACTIONAL_FILES}
     assert digests == PINNED_FRACTIONAL_FILES
+
+
+def test_features_fractional_rounds_like_features(tmp_path):
+    # --fractional adds files from the relaxation; the rounded files keep
+    # the bodies that features writes without it (the deep rounding alone
+    # gives 13.0 here, the shallow fallback 12.0)
+    inp = write_corpus_file(tmp_path, "b.txt", ["bbabaaaabbaba"])
+    plain, frac = str(tmp_path / "plain"), str(tmp_path / "frac")
+    args = ["features", inp, "--min-count", "1", "--flat"]
+    assert cli.main(args + ["--out", plain]) == 0
+    assert cli.main(args + ["--fractional", "--normalize", "--out", frac]) == 0
+    for name in ("X.mtx", "G.mtx", "Xhat.mtx", "dag.txt", "features.txt"):
+        bodies = [[line for line in read_file(os.path.join(out, name)).splitlines()
+                   if not line.startswith("#")] for out in (plain, frac)]
+        assert bodies[0] == bodies[1], name
 
 
 def test_features_deterministic_rerun(tmp_path):

@@ -123,7 +123,7 @@ def test_substring_index_lists_proper_substrings():
 def test_equivalence_classes_abab():
     corpus = ingest(["abab"], CHAR)
     candidates = enumerate_candidates(corpus, 4, 1)
-    classes = equivalence_classes(candidates, corpus)
+    classes = equivalence_classes(candidates)
     names = {frozenset(corpus.render(candidates.strings[cid]) for cid in members)
              for members in classes.classes}
     assert names == {frozenset({"a", "ab"}), frozenset({"b"}),
@@ -135,14 +135,14 @@ def test_equivalence_classes_abab():
 def test_equivalence_classes_single():
     corpus = ingest(["x"], CHAR)
     candidates = enumerate_candidates(corpus, 1, 1)
-    classes = equivalence_classes(candidates, corpus)
+    classes = equivalence_classes(candidates)
     assert classes.classes == [[0]]
 
 
 def test_equivalence_classes_fig_string():
     corpus = ingest(["xaxabxabxacxac"], CHAR)
     candidates = enumerate_candidates(corpus, 14, 1)
-    classes = equivalence_classes(candidates, corpus)
+    classes = equivalence_classes(candidates)
     assert len(classes.classes) <= 2 * 14 - 1
     seen = sorted(cid for members in classes.classes for cid in members)
     assert seen == list(range(len(candidates)))
@@ -155,7 +155,7 @@ def test_equivalence_classes_match_follower_oracle():
                  for _ in range(rng.randint(1, 2))]
         corpus = ingest(texts, CHAR)
         candidates = enumerate_candidates(corpus, 6, 1)
-        classes = equivalence_classes(candidates, corpus)
+        classes = equivalence_classes(candidates)
         mine = {frozenset(tuple(corpus.table.symbols[s]
                                 for s in candidates.strings[cid])
                           for cid in members)
@@ -172,7 +172,7 @@ def test_class_members_are_nested_right_extensions():
         text = "".join(rng.choice("ab") for _ in range(rng.randint(2, 24)))
         corpus = ingest([text], CHAR)
         candidates = enumerate_candidates(corpus, 8, 1)
-        classes = equivalence_classes(candidates, corpus)
+        classes = equivalence_classes(candidates)
         for members in classes.classes:
             chain = sorted(members, key=candidates.length)
             counts = {candidates.count(cid) for cid in chain}

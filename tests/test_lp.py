@@ -5,14 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deepdict import simplex
+from deepdict import lp, simplex
 from deepdict.corpus import CHAR, enumerate_candidates, equivalence_classes, ingest
 from deepdict.errors import Infeasible, InvalidParam, TooLarge
 from deepdict.lp import (build_lp, check_coverable, compression_errors, dense_program,
-                         exact_solve, intervals, prune_descent, round_to_compression,
+                         exact_solve, prune_descent, round_to_compression,
                          solve_lp, sparse_program)
 from deepdict.model import DICT_STRING, Pointer, build_model
-from deepdict.recon import Interval, ReconInstance, solve_dp
+from deepdict.recon import Interval, ReconInstance, ReconResult, solve_dp
 
 from oracles import ladder_texts, naive_exact
 
@@ -79,7 +79,7 @@ def test_build_lp_allocates_no_dense_matrix():
     # the 10-document corpus ladder: its full program is 1056 x 980, a
     # 7.9 MiB dense matrix that the instance must not materialise
     model = model_for(ladder_texts(10, random.Random(0)), 4, 2)
-    classes = equivalence_classes(model.candidates, model.corpus)
+    classes = equivalence_classes(model.candidates)
     for cuts in (False, True):
         tracemalloc.start()
         try:
@@ -193,7 +193,9 @@ def test_check_coverable_matches_pointer_cover():
 
 @pytest.mark.parametrize("cfl_mode", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_intervals_match_per_target_filter(seed, cfl_mode):
+def test_intervals_match_per_target_filter(seed, cfl_mode, monkeypatch):
+    # _solve_members hands one DP per document, then one per member string
+    # in id order, the intervals that the dictionary allows that target
     rng = random.Random(seed)
     texts = ["".join(rng.choice("abc") for _ in range(rng.randint(3, 9)))
              for _ in range(4)]
@@ -202,8 +204,16 @@ def test_intervals_match_per_target_filter(seed, cfl_mode):
     n = len(model.candidates)
     subsets = [set(range(n)), set()]
     subsets += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(6)]
+    seen = []
+    monkeypatch.setattr(lp, "solve_dp",
+                        lambda instance: seen.append(instance.intervals) or ReconResult(0.0, ()))
+    n_docs = len(model.corpus.docs)
     for members in subsets:
-        doc_iv, dict_iv = intervals(model, members)
+        seen.clear()
+        _, strings = lp._solve_members(model, members)
+        doc_iv = seen[:n_docs]
+        dict_iv = dict(zip(strings, seen[n_docs:]))
+        assert len(seen) == n_docs + len(members)
         assert doc_iv == [
             [Interval(p.location, length(p.source), model.costs.doc_costs[i], i)
              for i, p in enumerate(model.doc_pointers)
@@ -301,6 +311,60 @@ def test_exact_first_examples():
     assert exact_solve(model16).objective == pytest.approx(8.0)
 
 
+# fingerprint and repr(objective) of exact_solve on the seeded models below,
+# recorded from the subset enumeration that filtered by a bitmask cover
+# before solving
+PINNED_EXACT = {
+    0: ("13b4643bc5343e85", "2.84"),
+    1: ("76e6b61834e7789c", "3.4000000000000004"),
+    2: ("408129a851345411", "1.62"),
+    3: ("2457db6e7940f2b5", "2.0"),
+    4: ("f8c0ca00ceb4fb99", "6.0"),
+    5: ("3dcc0a33662dc35a", "3.8999999999999995"),
+    6: ("bcd5f70ab7a153a3", "2.5999999999999996"),
+    7: ("616d7efbe956df5d", "2.5999999999999996"),
+    8: ("ce6d6132aceeaaa4", "2.0"),
+    9: ("53f2f36213bc8542", "9.0"),
+    10: ("5fed90dba371d32a", "2.5999999999999996"),
+    11: ("ab466701dd06d1ca", "2.4000000000000004"),
+    12: ("8ae4d7c68605ca84", "4.359999999999999"),
+    13: ("9cef71d75d0769ca", "3.6000000000000005"),
+    14: ("5b91872dc45eec7b", "10.0"),
+    15: ("1af0ee0fb7133f55", "1.0"),
+    16: ("a064e141fdca787f", "3.4000000000000004"),
+    17: ("ce6d6132aceeaaa4", "2.4000000000000004"),
+    18: ("1af0ee0fb7133f55", "1.38"),
+    19: ("5310510cc68c6b61", "7.0"),
+}
+
+
+def pinned_exact_case(seed):
+    """A model of at most 10 candidates drawn from the seed, with zero and
+    non-dyadic costs, length-mode membership costs on every fifth seed, and
+    equivalence classes on every third."""
+    rng = random.Random(seed)
+    while True:
+        texts = ["".join(rng.choice("abc" if seed % 2 else "ab")
+                         for _ in range(rng.randint(2, 7)))
+                 for _ in range(rng.randint(1, 2))]
+        model = model_for(texts, 3, 1, tau=rng.choice([0.0, 0.2, 0.3, 0.7]),
+                          lam=rng.choice([0.0, 0.3, 0.7, 1.0]),
+                          alpha=rng.choice([0.0, 0.3, 1.0]),
+                          dict_cost_mode="length" if seed % 5 == 4 else "constant")
+        if len(model.candidates) <= 10:
+            return model, equivalence_classes(model.candidates) if seed % 3 == 0 else None
+
+
+def test_exact_pinned_on_seeded_models():
+    got = {}
+    for seed in PINNED_EXACT:
+        model, classes = pinned_exact_case(seed)
+        comp = exact_solve(model, classes=classes)
+        assert not compression_errors(comp, model)
+        got[seed] = (comp.fingerprint(), repr(comp.objective))
+    assert got == PINNED_EXACT
+
+
 def test_exact_prefers_smaller_dictionary_on_ties():
     # with free membership and free reconstruction, many dictionaries tie;
     # the reported one must be minimal
@@ -311,7 +375,7 @@ def test_exact_prefers_smaller_dictionary_on_ties():
 
 def test_cut_rows_on_abab():
     model = model_for(["abab"], 4, 1)
-    classes = equivalence_classes(model.candidates, model.corpus)
+    classes = equivalence_classes(model.candidates)
     lp = build_lp(model, cuts=True, classes=classes)
     assert dense_rows(lp).count("cut") == 3
     assert lp.n_rows == build_lp(model).n_rows + 3
@@ -324,7 +388,7 @@ def test_cut_rows_on_abab():
 
 def test_cut_rows_absent_for_singleton_classes():
     model = model_for(["aaaa"], 4, 2)
-    classes = equivalence_classes(model.candidates, model.corpus)
+    classes = equivalence_classes(model.candidates)
     lp = build_lp(model, cuts=True, classes=classes)
     assert "cut" not in dense_rows(lp)
     plain = build_lp(model)
@@ -348,7 +412,7 @@ def test_cuts_preserve_exact_optimum_and_tighten_lp():
         if len(model.candidates) > 10:
             continue
         checked += 1
-        classes = equivalence_classes(model.candidates, model.corpus)
+        classes = equivalence_classes(model.candidates)
         plain = exact_solve(model)
         cut = exact_solve(model, classes=classes)
         assert cut.objective == pytest.approx(plain.objective, abs=1e-9)

@@ -4,7 +4,8 @@ import pytest
 
 from deepdict.corpus import CHAR, enumerate_candidates, ingest
 from deepdict.errors import InvalidParam
-from deepdict.lp import compression_errors, exact_solve
+from deepdict.lp import (build_lp, compression_errors, exact_solve, round_to_compression,
+                         solve_lp)
 from deepdict.model import DICT_CHAR, build_model
 from deepdict.pipeline import (CompressJob, alpha_depth_check, bon_compress,
                                compress, path_sweep)
@@ -40,6 +41,24 @@ def test_compress_matches_exact_on_fig_string():
     exact = exact_solve(model, limit=16)
     assert comp.objective == pytest.approx(exact.objective, abs=1e-9)
     assert report.gap is not None and report.gap >= -1e-7
+
+
+def test_swap_move_reaches_exhaustive_optimum():
+    # dropping members alone stops at 8.0 here; a swap or add move reaches
+    # the exhaustive optimum
+    comp, report, model = compress(job_for(["bbaaba"], max_len=4, min_count=1))
+    assert comp.objective == 7.0
+    assert exact_solve(model, limit=13).objective == 7.0
+
+
+def test_shallow_fallback_beats_deep_rounding():
+    # the deep relaxation rounds to 13.0; the character-only rounding, priced
+    # in the full model, gives 12.0 and is kept
+    comp, report, model = compress(job_for(["bbabaaaabbaba"], max_len=4, min_count=1))
+    deep = round_to_compression(solve_lp(build_lp(model)), model)
+    assert deep.objective == 13.0
+    assert comp.objective == 12.0
+    assert not compression_errors(comp, model)
 
 
 def test_exact_if_small_routes_to_oracle():
