@@ -22,7 +22,7 @@ from .errors import DeepdictError, DimensionMismatch, NumericalFailure
 from .features import (dag_export, dict_matrix, diffuse, feature_space,
                        fractional_features, stats, top_features, write_dag,
                        write_matrix, write_names)
-from .lp import build_lp, exact_solve, solve_lp
+from .lp import EXACT_LIMIT, build_lp, exact_solve, solve_lp
 from .pipeline import CompressJob, bon_compress, build_job_model, compress, path_sweep
 
 USAGE_EXIT = 1
@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exhaustive binary optimum on a tiny corpus")
     _add_common(p)
-    p.add_argument("--limit", type=int, default=12)
+    p.add_argument("--limit", type=int, default=EXACT_LIMIT)
 
     p = sub.add_parser("stats", help="compress and print summary statistics")
     _add_common(p)
@@ -192,7 +192,8 @@ def cmd_features(args: argparse.Namespace) -> int:
         write_matrix(os.path.join(args.out, "Xhat.mtx"), xhat,
                      header + [f"flat: rho={args.rho:.9g}"])
     if args.fractional and not args.bon:
-        solution = solve_lp(build_lp(model, cuts=args.cuts))
+        # the deep relaxation compress solved; an exact run solved none
+        solution = report.solution or solve_lp(build_lp(model, cuts=args.cuts))
         frac_header = header + ["fractional: true"]
         fspace, fx, fg, weights = fractional_features(solution, model)
         write_matrix(os.path.join(args.out, "Xfrac.mtx"), fx, frac_header)
@@ -294,19 +295,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_recon(args: argparse.Namespace) -> int:
     from .errors import InvalidParam
-    from .recon import ReconInstance, solve_dp
+    from .recon import solve_dp
 
     corpus = read_corpus(args.input, args.mode)
     model = build_job_model(_job(args, corpus))
     if not 0 <= args.doc < len(corpus.docs):
         raise InvalidParam(f"no document {args.doc}")
-    ivs = [iv for _, iv in model.intervals[0][args.doc]]
-    instance = ReconInstance(corpus.docs[args.doc].symbols, ivs)
+    instance = model.recon_instances[0][args.doc]
     print(f"target: {corpus.doc_text(args.doc)}")
-    print(f"intervals: {len(ivs)}")
-    for iv in ivs:
-        src = model.corpus.render(
-            model.candidates.strings[model.doc_pointers[iv.pointer].source])
+    print(f"intervals: {len(instance.intervals)}")
+    for iv in instance.intervals:
+        src = model.corpus.render(model.candidates.strings[iv.source])
         print(f"  @{iv.start} len={iv.length} cost={iv.cost:.9g} {src}")
     result = solve_dp(instance)
     print(f"cover_cost: {result.cost:.9g}")

@@ -14,14 +14,15 @@ the same program as one dense matrix: the reference form that the tests
 compare sparse_program with and solve through simplex.solve.
 
 Once the dictionary is fixed, the program splits into one interval-cover
-DP per document and per member string.  Each model builds its per-target
-interval lists once (ModelInstance.intervals); _solve_members filters them
-by a dictionary and runs the DPs, and rounding, prune_descent and
-exact_solve all evaluate dictionaries through it.  Rounding keeps every
-candidate with membership weight above a snap threshold, re-solves all
-reconstructions restricted to that dictionary, and prunes strings that end
-up unused (taking the transitive closure of use through string-kind
-reconstruction pointers, which is the fixed point of repeated pruning).
+DP per document and per member string.  Each model builds one
+reconstruction instance per target once (ModelInstance.recon_instances);
+_solve_members runs one DP per target on them, which skips the intervals
+whose source is not a member, and rounding, prune_descent and exact_solve
+all evaluate dictionaries through it.  Rounding keeps every candidate with
+membership weight above a snap threshold, re-solves all reconstructions
+restricted to that dictionary, and prunes strings that end up unused
+(taking the transitive closure of use through string-kind reconstruction
+pointers, which is the fixed point of repeated pruning).
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from .corpus import EquivalenceClasses, equivalence_classes
 from .errors import Infeasible, InvalidParam, NumericalFailure, TooLarge
 from .model import (CONSTANT_DICT_COST, DICT_STRING, ModelInstance,
                     Pointer, pointer_is_valid)
-from .recon import ReconInstance, ReconResult, solve_dp
+from .recon import ReconResult, solve_dp
 
 ROUND_EPS = 1e-6
+EXACT_LIMIT = 12  # most candidates exact_solve enumerates by default
 
 
 @dataclass
@@ -91,18 +93,15 @@ class LPSolution:
         return bool(np.all((np.abs(v) <= ROUND_EPS) | (np.abs(v - 1.0) <= ROUND_EPS)))
 
 
-def build_lp(model: ModelInstance, cuts: bool = False,
-             classes: EquivalenceClasses | None = None) -> LPInstance:
+def build_lp(model: ModelInstance, cuts: bool = False) -> LPInstance:
     """The model's relaxation; with cuts, one cut row per multi-member
-    right-extension class (computed here when classes is not given)."""
+    right-extension class."""
     if not cuts:
         return LPInstance(model, [])
     scheme = model.costs.scheme
     if scheme is None or scheme.negate or scheme.dict_cost_mode != CONSTANT_DICT_COST:
         raise InvalidParam("equivalence cuts require the symmetric cost scheme")
-    if classes is None:
-        classes = equivalence_classes(model.candidates)
-    return LPInstance(model, classes.multi_member())
+    return LPInstance(model, equivalence_classes(model.candidates).multi_member())
 
 
 def _coverage_rows(model: ModelInstance):
@@ -273,16 +272,11 @@ def _solve_members(model: ModelInstance, members: set[int]
                    ) -> tuple[list[ReconResult], dict[int, ReconResult]]:
     """The cheapest reconstruction of every document (in doc id order) and
     of every member string (in id order) under the dictionary members.
-    Each target keeps its intervals whose source is a member, and its
-    character slots; raises Infeasible when a target cannot be covered."""
-    def kept(pairs):
-        return [iv for source, iv in pairs if source is None or source in members]
-
-    doc_iv, dict_iv = model.intervals
-    docs = [solve_dp(ReconInstance(doc.symbols, kept(doc_iv[doc.id])))
-            for doc in model.corpus.docs]
-    strings = {cid: solve_dp(ReconInstance(model.candidates.strings[cid], kept(dict_iv[cid])))
-               for cid in sorted(members)}
+    Each DP skips the intervals whose source is not a member; raises
+    Infeasible when a target cannot be covered."""
+    doc_inst, dict_inst = model.recon_instances
+    docs = [solve_dp(inst, members) for inst in doc_inst]
+    strings = {cid: solve_dp(dict_inst[cid], members) for cid in sorted(members)}
     return docs, strings
 
 
@@ -312,14 +306,11 @@ def _assemble(model: ModelInstance, docs: list[ReconResult],
                        objective)
 
 
-def round_to_compression(solution: LPSolution, model: ModelInstance,
-                         improve: bool = True) -> Compression:
+def round_to_compression(solution: LPSolution, model: ModelInstance) -> Compression:
     members = {cid for cid in range(len(model.candidates))
                if solution.string_value(cid) > ROUND_EPS}
     comp = _assemble(model, *_solve_members(model, members))
-    if improve:
-        comp = prune_descent(comp, model)
-    return comp
+    return prune_descent(comp, model)
 
 
 SWAP_BUDGET = 80000  # cap on (moves x pointer universe) for swap/add search
@@ -416,7 +407,7 @@ def compression_errors(comp: Compression, model: ModelInstance) -> list[str]:
     return errors
 
 
-def exact_solve(model: ModelInstance, limit: int = 12,
+def exact_solve(model: ModelInstance, limit: int = EXACT_LIMIT,
                 classes: EquivalenceClasses | None = None) -> Compression:
     """Brute-force binary optimum: enumerate dictionary subsets, solve every
     reconstruction by DP, and take the cheapest total.  Ties prefer the

@@ -9,8 +9,9 @@ full (deep) mode, one pointer per occurrence of each proper substring of
 length >= 2 that is itself a candidate; those require dictionary
 membership of the source.  Excluded pointers and strings are represented
 by omission and never become variables.  A model groups its pointers into
-per-target reconstruction intervals once, the first time they are asked
-for; every dictionary evaluation filters those lists.
+one reconstruction instance per target, once, the first time they are
+asked for; every dictionary evaluation solves those instances, filtering
+by membership inside the DP.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .corpus import CandidateSet, Corpus
 from .errors import InvalidParam
-from .recon import Interval
+from .recon import Interval, ReconInstance
 
 DOCUMENT = "document"
 DICT_CHAR = "dict-char"
@@ -90,10 +91,6 @@ def build_pointers(corpus: Corpus, candidates: CandidateSet,
     return doc_ptrs, dict_ptrs
 
 
-# one target's (source, interval) pairs; source None marks a character slot
-TargetIntervals = list[tuple[int | None, Interval]]
-
-
 @dataclass
 class ModelInstance:
     corpus: Corpus
@@ -104,24 +101,24 @@ class ModelInstance:
     cfl_mode: bool = False
 
     @functools.cached_property
-    def intervals(self) -> tuple[list[TargetIntervals], list[TargetIntervals]]:
-        """Every reconstruction interval as a (source, interval) pair, built
-        on first use: per document (indexed by doc id) its pointers, per
-        candidate its character slots (source None: they need no member)
-        and its string pointers.  Each list keeps the model's pointer
-        order, which solve_dp's tie-breaking depends on."""
+    def recon_instances(self) -> tuple[list[ReconInstance], list[ReconInstance]]:
+        """One reconstruction instance per target, built on first use: per
+        document (indexed by doc id) its pointers, per candidate its
+        character slots (source None: they need no member) and its string
+        pointers.  Each interval list keeps the model's pointer order."""
         length = self.candidates.length
-        doc_iv: list[TargetIntervals] = [[] for _ in self.corpus.docs]
+        doc_iv: list[list[Interval]] = [[] for _ in self.corpus.docs]
         for i, ptr in enumerate(self.doc_pointers):
-            doc_iv[ptr.target].append(
-                (ptr.source, Interval(ptr.location, length(ptr.source),
-                                      self.costs.doc_costs[i], i)))
-        dict_iv: list[TargetIntervals] = [[] for _ in self.candidates.strings]
+            doc_iv[ptr.target].append(Interval(ptr.location, length(ptr.source),
+                                               self.costs.doc_costs[i], i, ptr.source))
+        dict_iv: list[list[Interval]] = [[] for _ in self.candidates.strings]
         for i, ptr in enumerate(self.dict_pointers):
             dict_iv[ptr.target].append(
-                (None if ptr.kind == DICT_CHAR else ptr.source,
-                 Interval(ptr.location, length(ptr.source), self.costs.dict_costs[i], i)))
-        return doc_iv, dict_iv
+                Interval(ptr.location, length(ptr.source), self.costs.dict_costs[i], i,
+                         None if ptr.kind == DICT_CHAR else ptr.source))
+        docs = [ReconInstance(doc.symbols, ivs) for doc, ivs in zip(self.corpus.docs, doc_iv)]
+        strings = [ReconInstance(s, ivs) for s, ivs in zip(self.candidates.strings, dict_iv)]
+        return docs, strings
 
 
 def scheme_costs(doc_pointers: list[Pointer], dict_pointers: list[Pointer],

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field, replace
 from .corpus import Corpus, enumerate_candidates, equivalence_classes
 from .errors import InvalidParam
 from .features import stats
-from .lp import (Compression, build_lp, compression_errors, exact_solve, price,
-                 round_to_compression, solve_lp)
+from .lp import (EXACT_LIMIT, Compression, LPSolution, build_lp, compression_errors,
+                 exact_solve, price, round_to_compression, solve_lp)
 from .model import (CONSTANT_DICT_COST, DICT_CHAR, ModelInstance,
                     bon_landmark_costs, build_model, build_pointers)
-
-EXACT_LIMIT = 12
 
 
 @dataclass
@@ -51,7 +49,8 @@ class CompressReport:
     mnl: float
     dict_size: int
     depth: int
-    lp_iterations: int | None = None
+    lp_iterations: int | None
+    solution: LPSolution | None  # the deep relaxation; None for exact and bon runs
 
     def lines(self) -> list[str]:
         out = [f"method: {self.method}"]
@@ -84,11 +83,10 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
     """Full pipeline; the returned compression always passes the validity
     checker and the report carries the relaxation/rounding diagnostics."""
     model = build_job_model(job)
-    n_vars = len(model.candidates) + len(model.doc_pointers) + len(model.dict_pointers)
     if job.exact_if_small and len(model.candidates) <= EXACT_LIMIT:
         classes = equivalence_classes(model.candidates) if job.cuts else None
-        comp = exact_solve(model, limit=EXACT_LIMIT, classes=classes)
-        report = _report("exact", None, comp, model, n_vars, 0, None)
+        comp = exact_solve(model, classes=classes)
+        report = _report("exact", None, comp, model)
         _assert_valid(comp, model)
         return comp, report, model
     lp = build_lp(model, cuts=job.cuts)
@@ -102,8 +100,7 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
         if shallow.objective < comp.objective - 1e-9:
             comp = shallow
     _assert_valid(comp, model)
-    report = _report("lp+round", solution, comp, model, n_vars,
-                     lp.n_rows, solution.basis_summary["iterations"])
+    report = _report("lp+round", solution, comp, model)
     return comp, report, model
 
 
@@ -125,23 +122,25 @@ def _assert_valid(comp: Compression, model: ModelInstance) -> None:
         raise AssertionError("invalid compression: " + "; ".join(errors[:5]))
 
 
-def _report(method, solution, comp, model, n_vars, n_rows, iterations) -> CompressReport:
+def _report(method, solution, comp, model) -> CompressReport:
     st = stats(comp, model)
-    lp_obj = solution.objective if solution is not None else None
+    solved = solution is not None
+    lp_obj = solution.objective if solved else None
     return CompressReport(
         method=method,
         lp_objective=lp_obj,
         rounded_objective=comp.objective,
-        gap=(comp.objective - lp_obj) if lp_obj is not None else None,
-        integral=solution.is_integral() if solution is not None else None,
+        gap=comp.objective - lp_obj if solved else None,
+        integral=solution.is_integral() if solved else None,
         candidates=len(model.candidates),
-        variables=n_vars,
-        rows=n_rows,
+        variables=len(model.candidates) + len(model.doc_pointers) + len(model.dict_pointers),
+        rows=solution.instance.n_rows if solved else 0,
         pointer_count=st["pointer_count"],
         mnl=st["mnl"],
         dict_size=st["dict_size"],
         depth=st["depth"],
-        lp_iterations=iterations,
+        lp_iterations=solution.basis_summary["iterations"] if solved else None,
+        solution=solution,
     )
 
 
@@ -158,8 +157,7 @@ def bon_compress(corpus: Corpus, max_len: int,
     comp = Compression(tuple(range(len(candidates))), tuple(doc_ptrs),
                        tuple(dict_ptrs), float(objective))
     _assert_valid(comp, model)
-    n_vars = len(candidates) + len(doc_ptrs) + len(dict_ptrs)
-    report = _report("bon", None, comp, model, n_vars, 0, None)
+    report = _report("bon", None, comp, model)
     return comp, report, model
 
 

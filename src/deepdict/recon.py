@@ -1,8 +1,11 @@
 """Single-target reconstruction: minimum-cost interval covering.
 
 A reconstruction instance covers every position of one target string with
-weighted intervals (one per allowed pointer).  The binary case is solved
-by dynamic programming over the first uncovered position; the fractional
+weighted intervals (one per pointer), each naming the dictionary string it
+needs.  A model builds one instance per target, once, and every dictionary
+is evaluated on it: the binary case is solved by dynamic programming over
+the instance's intervals in a scan order ranked once per instance,
+skipping the intervals whose source is not a member.  The fractional
 case (demand v in [0,1], per-interval upper bounds) is a small LP.  The
 instance can also be rewritten as a min-cost flow over position nodes,
 which is solved through the shared simplex and used for cross-validation.
@@ -10,7 +13,9 @@ which is solved through the shared simplex and used for cross-validation.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +33,7 @@ class Interval:
     length: int
     cost: float
     pointer: int  # caller-side id, echoed back in results
+    source: int | None = None  # string it needs; None: needs no member
 
     @property
     def end(self) -> int:
@@ -53,6 +59,17 @@ class ReconInstance:
         if self.bounds is not None and len(self.bounds) != len(self.intervals):
             raise InvalidParam("bounds must align with intervals")
 
+    @functools.cached_property
+    def ranked(self) -> list[Interval]:
+        """solve_dp's scan order, checked and computed on first use: by
+        end, then longer first, then lower pointer id, so that the first
+        strict improvement wins ties deterministically."""
+        if self.demand != 1.0:
+            raise InvalidParam("solve_dp requires demand 1")
+        if any(iv.cost < 0 for iv in self.intervals):
+            raise InvalidParam("solve_dp requires nonnegative costs")
+        return sorted(self.intervals, key=lambda iv: (iv.end, -iv.length, iv.pointer))
+
 
 @dataclass
 class ReconResult:
@@ -60,50 +77,40 @@ class ReconResult:
     chosen: tuple[int, ...]  # pointer ids of the selected intervals
 
 
-def solve_dp(instance: ReconInstance) -> ReconResult:
-    """Minimum-cost full cover of the target; requires unit demand and
-    nonnegative costs.  dp[j] is the cheapest way to cover positions 1..j;
-    an interval may extend any prefix it overlaps or touches.  Ties prefer
-    the longer interval, then the lower pointer id, then the shortest
-    predecessor prefix, so results are deterministic."""
-    if instance.demand != 1.0:
-        raise InvalidParam("solve_dp requires demand 1")
-    if any(iv.cost < 0 for iv in instance.intervals):
-        raise InvalidParam("solve_dp requires nonnegative costs")
+def solve_dp(instance: ReconInstance,
+             members: Container[int] | None = None) -> ReconResult:
+    """Minimum-cost full cover of the target by the intervals whose source
+    is a member or None (every interval when members is None); requires
+    unit demand and nonnegative costs.  dp[j] is the cheapest way to cover
+    positions 1..j; an interval may extend any prefix it overlaps or
+    touches, and the ranked scan reaches it only after every such prefix
+    is final.  Ties prefer the longer interval, then the lower pointer id,
+    then the shortest predecessor prefix, so results are deterministic."""
     n = len(instance.target)
-    if n == 0:
-        return ReconResult(0.0, ())
-    by_end: list[list[int]] = [[] for _ in range(n + 1)]
-    for idx, iv in enumerate(instance.intervals):
-        by_end[iv.end].append(idx)
-    # ranked so the first strict improvement wins ties deterministically
-    for lst in by_end:
-        lst.sort(key=lambda i: (-instance.intervals[i].length,
-                                instance.intervals[i].pointer))
     dp = [0.0] + [math.inf] * n
-    back: list[tuple[int, int] | None] = [None] * (n + 1)
-    for r in range(1, n + 1):
-        for idx in by_end[r]:
-            iv = instance.intervals[idx]
-            best_j, best_val = -1, math.inf
-            for j in range(iv.start - 1, r):
-                if dp[j] < best_val:
-                    best_val, best_j = dp[j], j
-            if best_j < 0 or not math.isfinite(best_val):
-                continue
-            total = best_val + iv.cost
-            if total < dp[r]:
-                dp[r] = total
-                back[r] = (idx, best_j)
+    back: list[tuple[Interval, int] | None] = [None] * (n + 1)
+    for iv in instance.ranked:
+        if members is not None and iv.source is not None and iv.source not in members:
+            continue
+        r = iv.end
+        best_j, best_val = -1, math.inf
+        for j in range(iv.start - 1, r):
+            if dp[j] < best_val:
+                best_val, best_j = dp[j], j
+        if best_j < 0:
+            continue
+        total = best_val + iv.cost
+        if total < dp[r]:
+            dp[r] = total
+            back[r] = (iv, best_j)
     if not math.isfinite(dp[n]):
         uncovered = min(r for r in range(1, n + 1) if not math.isfinite(dp[r]))
         raise Infeasible(f"position {uncovered} of the target is uncoverable")
     chosen = []
     r = n
     while r > 0:
-        idx, j = back[r]
-        chosen.append(instance.intervals[idx].pointer)
-        r = j
+        iv, r = back[r]
+        chosen.append(iv.pointer)
     chosen.reverse()
     return ReconResult(dp[n], tuple(chosen))
 

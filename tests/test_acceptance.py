@@ -165,7 +165,7 @@ def test_criterion_4_equivalence_class_suite():
         assert with_cuts.objective == pytest.approx(plain.objective, abs=1e-9)
         unchanged += 1
         lp_plain = solve_lp(build_lp(model))
-        lp_cut = solve_lp(build_lp(model, cuts=True, classes=classes))
+        lp_cut = solve_lp(build_lp(model, cuts=True))
         assert lp_cut.objective >= lp_plain.objective - 1e-7
         if lp_cut.objective > lp_plain.objective + 1e-7:
             tightened += 1

@@ -230,6 +230,20 @@ def test_features_fractional_rounds_like_features(tmp_path):
         assert bodies[0] == bodies[1], name
 
 
+@pytest.mark.parametrize("flags, solves", [([], 2), (["--cfl"], 1)])
+def test_features_fractional_reuses_deep_solution(tmp_path, monkeypatch, flags, solves):
+    # compress solves the deep relaxation (and, unless --cfl, the shallow
+    # one); the fractional files are read from the deep solution it keeps
+    inp = write_corpus_file(tmp_path, "c.txt", ["aabaabaax", "abaabax"])
+    run = simplex.run
+    programs = []
+    monkeypatch.setattr(simplex, "run",
+                        lambda program: programs.append(program) or run(program))
+    assert cli.main(["features", inp, "--fractional", "--flat",
+                     "--out", str(tmp_path / "f")] + flags) == 0
+    assert len(programs) == solves
+
+
 def test_features_deterministic_rerun(tmp_path):
     inp = write_corpus_file(tmp_path, "doc.txt", ["ababab", "babab"])
     out1 = str(tmp_path / "one")

@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 from dataclasses import replace
@@ -79,11 +80,10 @@ def test_build_lp_allocates_no_dense_matrix():
     # the 10-document corpus ladder: its full program is 1056 x 980, a
     # 7.9 MiB dense matrix that the instance must not materialise
     model = model_for(ladder_texts(10, random.Random(0)), 4, 2)
-    classes = equivalence_classes(model.candidates)
     for cuts in (False, True):
         tracemalloc.start()
         try:
-            lp = build_lp(model, cuts=cuts, classes=classes)
+            lp = build_lp(model, cuts=cuts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -195,7 +195,8 @@ def test_check_coverable_matches_pointer_cover():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_intervals_match_per_target_filter(seed, cfl_mode, monkeypatch):
     # _solve_members hands one DP per document, then one per member string
-    # in id order, the intervals that the dictionary allows that target
+    # in id order, the model's instance of that target (every interval,
+    # with the string it needs) and the dictionary to filter it by
     rng = random.Random(seed)
     texts = ["".join(rng.choice("abc") for _ in range(rng.randint(3, 9)))
              for _ in range(4)]
@@ -205,26 +206,56 @@ def test_intervals_match_per_target_filter(seed, cfl_mode, monkeypatch):
     subsets = [set(range(n)), set()]
     subsets += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(6)]
     seen = []
-    monkeypatch.setattr(lp, "solve_dp",
-                        lambda instance: seen.append(instance.intervals) or ReconResult(0.0, ()))
+    monkeypatch.setattr(lp, "solve_dp", lambda instance, members:
+                        seen.append((instance, members)) or ReconResult(0.0, ()))
     n_docs = len(model.corpus.docs)
+    doc_inst, dict_inst = model.recon_instances
     for members in subsets:
         seen.clear()
         _, strings = lp._solve_members(model, members)
-        doc_iv = seen[:n_docs]
-        dict_iv = dict(zip(strings, seen[n_docs:]))
         assert len(seen) == n_docs + len(members)
-        assert doc_iv == [
-            [Interval(p.location, length(p.source), model.costs.doc_costs[i], i)
-             for i, p in enumerate(model.doc_pointers)
-             if p.target == doc.id and p.source in members]
+        assert all(passed == members for _, passed in seen)
+        assert all(inst is doc_inst[k] for k, (inst, _) in enumerate(seen[:n_docs]))
+        assert [inst.target for inst, _ in seen[:n_docs]] == [
+            doc.symbols for doc in model.corpus.docs]
+        assert [inst.intervals for inst, _ in seen[:n_docs]] == [
+            [Interval(p.location, length(p.source), model.costs.doc_costs[i], i, p.source)
+             for i, p in enumerate(model.doc_pointers) if p.target == doc.id]
             for doc in model.corpus.docs]
-        assert list(dict_iv) == sorted(members)
-        for cid in members:
-            assert dict_iv[cid] == [
-                Interval(p.location, length(p.source), model.costs.dict_costs[i], i)
-                for i, p in enumerate(model.dict_pointers)
-                if p.target == cid and (p.kind != DICT_STRING or p.source in members)]
+        assert list(strings) == sorted(members)
+        for cid, (inst, _) in zip(strings, seen[n_docs:]):
+            assert inst is dict_inst[cid]
+            assert inst.target == model.candidates.strings[cid]
+            assert inst.intervals == [
+                Interval(p.location, length(p.source), model.costs.dict_costs[i], i,
+                         p.source if p.kind == DICT_STRING else None)
+                for i, p in enumerate(model.dict_pointers) if p.target == cid]
+
+
+def test_ranked_order_computed_once_per_instance(monkeypatch):
+    # every dictionary the rounding and local search try is evaluated on
+    # the model's instances, whose scan order is ranked on first use only
+    ranked = ReconInstance.ranked.func
+    computed = []
+
+    def counting(instance):
+        computed.append(instance)
+        return ranked(instance)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(ReconInstance, "ranked")
+    monkeypatch.setattr(ReconInstance, "ranked", prop)
+    real_dp = lp.solve_dp
+    calls = []
+    monkeypatch.setattr(lp, "solve_dp", lambda instance, members:
+                        calls.append(instance) or real_dp(instance, members))
+    model = model_for(["abcabcab", "bcabca"], 4, 1)
+    comp = round_to_compression(solve_lp(build_lp(model)), model)
+    assert not compression_errors(comp, model)
+    doc_inst, dict_inst = model.recon_instances
+    assert len(calls) > 2 * (len(doc_inst) + len(dict_inst))
+    assert len({id(inst) for inst in computed}) == len(computed)
+    assert {id(inst) for inst in computed} == {id(inst) for inst in calls}
 
 
 def test_negative_costs_rejected_by_solver():
@@ -375,21 +406,18 @@ def test_exact_prefers_smaller_dictionary_on_ties():
 
 def test_cut_rows_on_abab():
     model = model_for(["abab"], 4, 1)
-    classes = equivalence_classes(model.candidates)
-    lp = build_lp(model, cuts=True, classes=classes)
+    lp = build_lp(model, cuts=True)
     assert dense_rows(lp).count("cut") == 3
     assert lp.n_rows == build_lp(model).n_rows + 3
-    # classes computed inside build_lp give the same cuts
-    assert build_lp(model, cuts=True).cut_members == lp.cut_members
-    cfl = build_lp(model_for(["abab"], 4, 1, cfl_mode=True), cuts=True,
-                   classes=classes)
+    # one cut row per multi-member class
+    assert lp.cut_members == equivalence_classes(model.candidates).multi_member()
+    cfl = build_lp(model_for(["abab"], 4, 1, cfl_mode=True), cuts=True)
     assert dense_rows(cfl).count("cut") == 3
 
 
 def test_cut_rows_absent_for_singleton_classes():
     model = model_for(["aaaa"], 4, 2)
-    classes = equivalence_classes(model.candidates)
-    lp = build_lp(model, cuts=True, classes=classes)
+    lp = build_lp(model, cuts=True)
     assert "cut" not in dense_rows(lp)
     plain = build_lp(model)
     assert lp.n_rows == plain.n_rows
@@ -417,7 +445,7 @@ def test_cuts_preserve_exact_optimum_and_tighten_lp():
         cut = exact_solve(model, classes=classes)
         assert cut.objective == pytest.approx(plain.objective, abs=1e-9)
         lp_plain = solve_lp(build_lp(model))
-        lp_cut = solve_lp(build_lp(model, cuts=True, classes=classes))
+        lp_cut = solve_lp(build_lp(model, cuts=True))
         assert lp_cut.objective >= lp_plain.objective - 1e-7
         assert lp_cut.objective <= plain.objective + 1e-7
 
@@ -506,7 +534,9 @@ def test_prune_descent_never_worsens():
         text = "".join(rng.choice("abc") for _ in range(rng.randint(4, 12)))
         model = model_for([text], 4, 1)
         solution = solve_lp(build_lp(model))
-        raw = round_to_compression(solution, model, improve=False)
+        members = {cid for cid in range(len(model.candidates))
+                   if solution.string_value(cid) > lp.ROUND_EPS}
+        raw = lp._assemble(model, *lp._solve_members(model, members))
         improved = prune_descent(raw, model)
         assert improved.objective <= raw.objective + 1e-12
         assert not compression_errors(improved, model)

@@ -92,6 +92,46 @@ def test_dp_requires_unit_demand_and_nonnegative_costs():
         solve_dp(inst(1, [(1, 1, -1.0)]))
 
 
+def _outcome(instance, members=None):
+    try:
+        result = solve_dp(instance, members)
+    except Infeasible as exc:
+        return str(exc)
+    return result.cost, result.chosen
+
+
+def test_dp_member_filter_matches_filtered_instance():
+    # skipping non-member sources inside the DP gives the cover of a fresh
+    # instance built from the kept intervals, whatever the input order;
+    # repeated pointer ids make ties between equal intervals visible
+    rng = random.Random(404)
+    feasible = 0
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        intervals = []
+        for _ in range(rng.randint(0, 14)):
+            start = rng.randint(1, n)
+            intervals.append(Interval(start, rng.randint(1, n - start + 1),
+                                      float(rng.randint(0, 4)), rng.randint(0, 5),
+                                      rng.choice([None, 0, 1, 2, 3])))
+        members = set(rng.sample(range(4), rng.randint(0, 4)))
+        for _ in range(3):
+            rng.shuffle(intervals)
+            kept = [iv for iv in intervals if iv.source is None or iv.source in members]
+            got = _outcome(ReconInstance(tuple(range(n)), list(intervals)), members)
+            assert got == _outcome(ReconInstance(tuple(range(n)), kept))
+            feasible += not isinstance(got, str)
+    assert 150 < feasible < 550
+
+
+def test_dp_ranks_by_end_then_longer_then_lower_pointer():
+    instance = inst(3, [(2, 2, 1.0), (1, 1, 1.0), (1, 3, 2.0), (2, 1, 1.0),
+                        (1, 2, 1.0), (3, 1, 1.0)])
+    assert [(iv.end, iv.length, iv.pointer) for iv in instance.ranked] == [
+        (1, 1, 1), (2, 2, 4), (2, 1, 3), (3, 3, 2), (3, 2, 0), (3, 1, 5)]
+    assert instance.ranked is instance.ranked
+
+
 def test_flow_columns_match_difference_transform():
     instance = inst(2, [(1, 1, 1.0), (2, 1, 1.0), (1, 2, 1.0)])
     flow = to_flow(instance)
