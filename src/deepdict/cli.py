@@ -191,7 +191,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         xhat = diffuse(x, g, rho=args.rho)
         write_matrix(os.path.join(args.out, "Xhat.mtx"), xhat,
                      header + [f"flat: rho={args.rho:.9g}"])
-    if args.fractional and not args.bon:
+    if args.fractional:
         # the deep relaxation compress solved; an exact run solved none
         solution = report.solution or solve_lp(build_lp(model, cuts=args.cuts))
         frac_header = header + ["fractional: true"]
@@ -320,6 +320,8 @@ def cmd_recon(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "features" and args.bon and args.fractional:
+        parser.error("--fractional exports the LP relaxation, which --bon does not solve")
     handlers = {
         "compress": cmd_compress,
         "features": cmd_features,

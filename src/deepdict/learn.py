@@ -164,6 +164,8 @@ def accuracy_over_resamples(data: LabeledMatrix, n_resamples: int, seed: int,
     """Mean accuracy of both classifiers over seeded train/test splits;
     the centroid protocol predicts one label per class from the averaged
     held-out rows of that class."""
+    if n_resamples < 1:
+        raise InvalidParam(f"need at least one resample, got {n_resamples}")
     rng = random.Random(seed)
     by_class: dict[int, list[int]] = {}
     for i, label in enumerate(data.labels):
@@ -190,13 +192,11 @@ def accuracy_over_resamples(data: LabeledMatrix, n_resamples: int, seed: int,
             nb_correct += predictions[pos] == data.labels[i]
         for label in sorted(by_class):
             sample = [i for i in test_idx if data.labels[i] == label]
-            if not sample:
-                continue
             cen_total += 1
             cen_correct += centroid_predict(cen, dense[sample]) == label
     return {
-        "nb_accuracy": nb_correct / nb_total if nb_total else 0.0,
-        "centroid_accuracy": cen_correct / cen_total if cen_total else 0.0,
+        "nb_accuracy": nb_correct / nb_total,
+        "centroid_accuracy": cen_correct / cen_total,
         "majority_baseline": max(len(v) for v in by_class.values()) / len(data.labels),
     }
 

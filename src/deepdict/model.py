@@ -4,21 +4,21 @@ A pointer places a copy of a source n-gram at a location inside a target
 (a document or a longer candidate).  Document pointers may use any
 candidate and always require the source to be in the dictionary.
 Dictionary reconstruction uses one character slot per position of the
-target (usable whether or not the unigram is in the dictionary) plus, in
-full (deep) mode, one pointer per occurrence of each proper substring of
-length >= 2 that is itself a candidate; those require dictionary
-membership of the source.  Excluded pointers and strings are represented
-by omission and never become variables.  A model groups its pointers into
-one reconstruction instance per target, once, the first time they are
-asked for; every dictionary evaluation solves those instances, filtering
-by membership inside the DP.
+target (usable whether or not the unigram is in the dictionary) plus one
+pointer per occurrence of each proper substring of length >= 2 that is
+itself a candidate; those require dictionary membership of the source,
+and character_only() drops them to give the shallow problem.  Excluded
+pointers and strings are omitted and never become variables.  A model
+groups its pointers into one reconstruction instance per target, once,
+the first time they are asked for; every dictionary evaluation solves
+those instances, filtering by membership inside the DP.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .corpus import CandidateSet, Corpus
 from .errors import InvalidParam
@@ -62,14 +62,12 @@ class CostModel:
                 and all(c >= 0 for c in self.string_costs))
 
 
-def build_pointers(corpus: Corpus, candidates: CandidateSet,
-                   cfl_mode: bool = False) -> tuple[list[Pointer], list[Pointer]]:
+def build_pointers(corpus: Corpus, candidates: CandidateSet
+                   ) -> tuple[list[Pointer], list[Pointer]]:
     """Enumerate the full finite-cost pointer universe.
 
     Returns (document pointers, dictionary pointers), each in a fixed
     deterministic order so downstream variable ids are reproducible.
-    In cfl_mode the string-kind dictionary pointers are omitted, which
-    restricts every dictionary string to be built from characters.
     """
     if len(candidates) == 0:
         raise InvalidParam("candidate set is empty")
@@ -84,9 +82,8 @@ def build_pointers(corpus: Corpus, candidates: CandidateSet,
         s = candidates.strings[cid]
         for pos, sym in enumerate(s, start=1):
             dict_ptrs.append(Pointer(DICT_CHAR, cid, pos, candidates.unigram_id(sym)))
-        if not cfl_mode:
-            for sub_cid, loc in candidates.substring_index[cid]:
-                dict_ptrs.append(Pointer(DICT_STRING, cid, loc, sub_cid))
+        for sub_cid, loc in candidates.substring_index[cid]:
+            dict_ptrs.append(Pointer(DICT_STRING, cid, loc, sub_cid))
     dict_ptrs.sort(key=lambda p: (p.target, p.location, p.kind == DICT_STRING, p.source))
     return doc_ptrs, dict_ptrs
 
@@ -98,7 +95,6 @@ class ModelInstance:
     doc_pointers: list[Pointer]
     dict_pointers: list[Pointer]
     costs: CostModel
-    cfl_mode: bool = False
 
     @functools.cached_property
     def recon_instances(self) -> tuple[list[ReconInstance], list[ReconInstance]]:
@@ -162,11 +158,18 @@ def bon_landmark_costs(doc_pointers: list[Pointer], dict_pointers: list[Pointer]
 
 
 def build_model(corpus: Corpus, candidates: CandidateSet, tau: float, lam: float,
-                alpha: float, cfl_mode: bool = False,
-                dict_cost_mode: str = CONSTANT_DICT_COST) -> ModelInstance:
-    doc_ptrs, dict_ptrs = build_pointers(corpus, candidates, cfl_mode)
+                alpha: float, dict_cost_mode: str = CONSTANT_DICT_COST) -> ModelInstance:
+    doc_ptrs, dict_ptrs = build_pointers(corpus, candidates)
     costs = scheme_costs(doc_ptrs, dict_ptrs, candidates, tau, lam, alpha, dict_cost_mode)
-    return ModelInstance(corpus, candidates, doc_ptrs, dict_ptrs, costs, cfl_mode)
+    return ModelInstance(corpus, candidates, doc_ptrs, dict_ptrs, costs)
+
+
+def character_only(model: ModelInstance) -> ModelInstance:
+    """The shallow (Compressive Feature Learning) restriction: the character
+    slots among the dictionary pointers, in model order; all else is shared."""
+    keep = [i for i, ptr in enumerate(model.dict_pointers) if ptr.kind == DICT_CHAR]
+    costs = replace(model.costs, dict_costs=[model.costs.dict_costs[i] for i in keep])
+    return replace(model, dict_pointers=[model.dict_pointers[i] for i in keep], costs=costs)
 
 
 def pointer_is_valid(ptr: Pointer, corpus: Corpus, candidates: CandidateSet) -> bool:

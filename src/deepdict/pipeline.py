@@ -1,7 +1,7 @@
 """End-to-end compression pipeline and parametric sweeps.
 
-compress() wires enumeration, pointer building, the LP relaxation, and
-rounding; small instances may be routed to the exhaustive oracle instead.
+compress() rounds the LP relaxation of one model per job and, for deep jobs,
+of its character-only restriction; tiny jobs may go to the exhaustive oracle.
 bon_compress() realizes the all-n-grams landmark (uniform negative costs)
 by inspection, without a solve.  path_sweep() resolves the LP along an
 ascending grid of dictionary-pointer costs and merges consecutive grid
@@ -18,7 +18,7 @@ from .features import stats
 from .lp import (EXACT_LIMIT, Compression, LPSolution, build_lp, compression_errors,
                  exact_solve, price, round_to_compression, solve_lp)
 from .model import (CONSTANT_DICT_COST, DICT_CHAR, ModelInstance,
-                    bon_landmark_costs, build_model, build_pointers)
+                    bon_landmark_costs, build_model, build_pointers, character_only)
 
 
 @dataclass
@@ -75,8 +75,9 @@ class CompressReport:
 
 def build_job_model(job: CompressJob) -> ModelInstance:
     candidates = enumerate_candidates(job.corpus, job.max_len, job.min_count)
-    return build_model(job.corpus, candidates, job.tau, job.lam, job.alpha,
-                       cfl_mode=job.cfl_mode, dict_cost_mode=job.dict_cost_mode)
+    model = build_model(job.corpus, candidates, job.tau, job.lam, job.alpha,
+                        dict_cost_mode=job.dict_cost_mode)
+    return character_only(model) if job.cfl_mode else model
 
 
 def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstance]:
@@ -92,9 +93,8 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
     lp = build_lp(model, cuts=job.cuts)
     solution = solve_lp(lp)
     comp = round_to_compression(solution, model)
-    # deep runs also round the character-only restriction and keep the
-    # cheaper result; every shallow solution is feasible for the full
-    # model, so the deep output then never trails the shallow one
+    # every shallow solution is feasible in the full model, so keeping the
+    # cheaper result means the deep output never trails the shallow one
     if not job.cfl_mode:
         shallow = _shallow_rounding(job, model)
         if shallow.objective < comp.objective - 1e-9:
@@ -105,15 +105,12 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
 
 
 def _shallow_rounding(job: CompressJob, model: ModelInstance) -> Compression:
-    """Round the character-only restriction of the same instance and price
-    it in the full model, where it is feasible verbatim."""
-    restricted = build_model(job.corpus, model.candidates, job.tau, job.lam,
-                             job.alpha, cfl_mode=True,
-                             dict_cost_mode=job.dict_cost_mode)
+    """Round the character-only restriction (whose own size gates its
+    swap/add moves) and price the result in the full model."""
+    restricted = character_only(model)
     solution = solve_lp(build_lp(restricted, cuts=job.cuts))
     comp = round_to_compression(solution, restricted)
-    return Compression(comp.dictionary, comp.doc_pointers, comp.dict_pointers,
-                       price(comp, model))
+    return replace(comp, objective=price(comp, model))
 
 
 def _assert_valid(comp: Compression, model: ModelInstance) -> None:
@@ -150,9 +147,9 @@ def bon_compress(corpus: Corpus, max_len: int,
     every finite-cost pointer and string, so the compression is assembled
     directly."""
     candidates = enumerate_candidates(corpus, max_len, min_count)
-    doc_ptrs, dict_ptrs = build_pointers(corpus, candidates, cfl_mode=False)
+    doc_ptrs, dict_ptrs = build_pointers(corpus, candidates)
     costs = bon_landmark_costs(doc_ptrs, dict_ptrs, candidates, max_len)
-    model = ModelInstance(corpus, candidates, doc_ptrs, dict_ptrs, costs, False)
+    model = ModelInstance(corpus, candidates, doc_ptrs, dict_ptrs, costs)
     objective = -(len(doc_ptrs) + len(dict_ptrs) + len(candidates))
     comp = Compression(tuple(range(len(candidates))), tuple(doc_ptrs),
                        tuple(dict_ptrs), float(objective))

@@ -334,6 +334,11 @@ def test_eval_label_mismatch_exits_2(tmp_path):
     (["path", "{docs}", "--grid", "1,a"], 1, "usage error"),
     (["path", "{docs}", "--grid", ","], 1, "usage error"),
     (["eval", "--input", "{docs}", "--labels", "{labels}"], 2, "labels must be integers"),
+    # no resample means no classifier ran, so there is no accuracy to print
+    (["eval", "--resamples", "0", "--max-len", "3", "--bon", "2"], 2, "at least one resample"),
+    (["eval", "--resamples", "-1", "--max-len", "3", "--bon", "2"], 2, "at least one resample"),
+    # the landmark is assembled without a solve, so it has no relaxation to export
+    (["features", "{docs}", "--bon", "2", "--fractional"], 1, "usage error"),
 ])
 def test_bad_values_end_with_documented_code(tmp_path, capsys, argv, code, message):
     paths = {"docs": write_corpus_file(tmp_path, "docs.txt", ["abab", "baba"]),

@@ -12,7 +12,7 @@ from deepdict.errors import Infeasible, InvalidParam, TooLarge
 from deepdict.lp import (build_lp, check_coverable, compression_errors, dense_program,
                          exact_solve, prune_descent, round_to_compression,
                          solve_lp, sparse_program)
-from deepdict.model import DICT_STRING, Pointer, build_model
+from deepdict.model import DICT_STRING, Pointer, build_model, character_only
 from deepdict.recon import Interval, ReconInstance, ReconResult, solve_dp
 
 from oracles import ladder_texts, naive_exact
@@ -20,10 +20,12 @@ from oracles import ladder_texts, naive_exact
 SNAP = 1e-6
 
 
-def model_for(texts, max_len, min_count, tau=0.0, lam=1.0, alpha=1.0, **kwargs):
+def model_for(texts, max_len, min_count, tau=0.0, lam=1.0, alpha=1.0, cfl_mode=False,
+              **kwargs):
     corpus = ingest(texts, CHAR)
     candidates = enumerate_candidates(corpus, max_len, min_count)
-    return build_model(corpus, candidates, tau, lam, alpha, **kwargs)
+    model = build_model(corpus, candidates, tau, lam, alpha, **kwargs)
+    return character_only(model) if cfl_mode else model
 
 
 def dense_rows(lp):
@@ -264,7 +266,7 @@ def test_negative_costs_rejected_by_solver():
     from deepdict.model import ModelInstance, bon_landmark_costs, build_pointers
     doc_ptrs, dict_ptrs = build_pointers(corpus, candidates)
     costs = bon_landmark_costs(doc_ptrs, dict_ptrs, candidates, 2)
-    model = ModelInstance(corpus, candidates, doc_ptrs, dict_ptrs, costs, False)
+    model = ModelInstance(corpus, candidates, doc_ptrs, dict_ptrs, costs)
     with pytest.raises(InvalidParam):
         solve_lp(build_lp(model))
 

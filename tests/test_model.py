@@ -7,8 +7,8 @@ from deepdict.corpus import CHAR, enumerate_candidates, ingest
 from deepdict.errors import InvalidParam
 from deepdict.lp import build_lp, solve_lp
 from deepdict.model import (DICT_CHAR, DICT_STRING, bon_landmark_costs,
-                            build_model, build_pointers, pointer_is_valid,
-                            scheme_costs)
+                            build_model, build_pointers, character_only,
+                            pointer_is_valid, scheme_costs)
 
 
 def make(texts, max_len, min_count, **kwargs):
@@ -39,10 +39,31 @@ def test_pointer_counts_single_symbol():
 
 def test_cfl_mode_drops_string_kind():
     corpus, candidates = make(["aaaa"], 4, 2)
-    doc_ptrs, dict_ptrs = build_pointers(corpus, candidates, cfl_mode=True)
+    model = character_only(build_model(corpus, candidates, 0.0, 1.0, 1.0))
+    doc_ptrs, dict_ptrs = model.doc_pointers, model.dict_pointers
     assert len(doc_ptrs) == 9
     assert len(dict_ptrs) == 6
     assert all(p.kind == DICT_CHAR for p in dict_ptrs)
+
+
+def test_character_only_restricts_without_copying():
+    corpus, candidates = make(["abcabcab", "bcabca"], 4, 1)
+    model = build_model(corpus, candidates, 0.3, 0.7, 0.5)
+    deep_strings = model.recon_instances[1]
+    shallow = character_only(model)
+    assert shallow.doc_pointers is model.doc_pointers
+    assert shallow.costs.doc_costs is model.costs.doc_costs
+    assert shallow.costs.string_costs is model.costs.string_costs
+    assert shallow.costs.scheme is model.costs.scheme
+    # exactly the character slots, in model order, with their own costs
+    chars = [(p, c) for p, c in zip(model.dict_pointers, model.costs.dict_costs)
+             if p.kind == DICT_CHAR]
+    assert 0 < len(chars) < len(model.dict_pointers)
+    assert list(zip(shallow.dict_pointers, shallow.costs.dict_costs)) == chars
+    # the restriction groups its own instances; the deep ones stay intact
+    assert [len(inst.intervals) for inst in shallow.recon_instances[1]] == [
+        len(s) for s in candidates.strings]
+    assert model.recon_instances[1] is deep_strings
 
 
 def test_every_pointer_is_valid():

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from deepdict import model as model_module
 from deepdict.corpus import CHAR, enumerate_candidates, ingest
 from deepdict.errors import InvalidParam
 from deepdict.lp import (build_lp, compression_errors, exact_solve, round_to_compression,
@@ -10,7 +12,7 @@ from deepdict.model import DICT_CHAR, build_model
 from deepdict.pipeline import (CompressJob, alpha_depth_check, bon_compress,
                                compress, path_sweep)
 
-from oracles import bon_counts
+from oracles import bon_counts, ladder_texts
 
 
 def job_for(texts, **kwargs):
@@ -78,6 +80,23 @@ def test_deep_never_worse_than_cfl():
         _, deep_report, _ = compress(deep_job)
         _, cfl_report, _ = compress(cfl_job)
         assert deep_report.rounded_objective <= cfl_report.rounded_objective + 1e-7
+
+
+def test_one_pointer_enumeration_per_compress(monkeypatch):
+    # the character-only restriction is cut from the deep model, not built
+    # again, so each compress enumerates the pointer universe once
+    build_pointers = model_module.build_pointers
+    calls = []
+    monkeypatch.setattr(model_module, "build_pointers",
+                        lambda *args: calls.append(args) or build_pointers(*args))
+    for cfl_mode in (False, True):
+        calls.clear()
+        compress(job_for(["bbabaaaabbaba"], max_len=4, min_count=1, cfl_mode=cfl_mode))
+        assert len(calls) == 1
+    calls.clear()
+    corpus = ingest(["xaxabxabxacxac"], CHAR)
+    path_sweep(corpus, CompressJob(corpus, max_len=5, min_count=2), [0.0, 0.5, 1.0])
+    assert len(calls) == 3
 
 
 def test_path_sweep_concavity_and_segments():
@@ -195,3 +214,96 @@ def test_bon_matches_bruteforce_counter():
                         for s in model.candidates.strings[ptr.source])
             counts[key] = counts.get(key, 0) + 1
         assert counts == bon_counts([text], 3, 1)
+
+
+# fingerprint, repr(objective) and a digest of report.lines() of compress on
+# the seeded jobs below, recorded when the character-only restriction was a
+# second pointer enumeration
+PINNED_COMPRESS = {
+    0: ("3b985e2cd26b9a01", "15.75", "f80740fc78dc699c"),
+    1: ("45d6c0bff1d33f07", "13.75", "eda762984df065ac"),
+    2: ("0c2c26ac209778dc", "2.5", "699a66bea7d3a958"),
+    3: ("7e50db6dfbadca82", "3.0", "5479b6beeb1f9881"),
+    4: ("42952985d5a843c5", "10.5", "6ee79df6059d5028"),
+    5: ("0f1daaf05d623aed", "10.75", "f890d2f39b320492"),
+    6: ("7d77c66d8742d1c6", "13.0", "6a507d6fd2779900"),
+    7: ("28c440a729b3abb0", "6.5", "633c8327f11a28e1"),
+    8: ("a2ba02fdd4c55917", "6.5", "fb766a2085cd2cbf"),
+    9: ("a81950eb6269a704", "24.75", "7f732f54bfedf60f"),
+    10: ("8b16100570a4b2d0", "5.0", "62cccaeb4ea3a208"),
+    11: ("f78ddfa21b656427", "8.0", "72d38d934bc1fdfa"),
+    12: ("1d3d072af44ff3df", "22.0", "c6048f85c773a8d8"),
+    13: ("7ea90989c7df2fb8", "10.5", "07f04b3889ca685a"),
+    14: ("8a8889f6b5ee654f", "14.0", "830e6da7efda63bc"),
+    15: ("7e50db6dfbadca82", "1.75", "6d8019d66a6bc239"),
+    16: ("93b690987896aa19", "18.0", "2adae9b8a343627d"),
+    17: ("b75de012e36edbbe", "2.0", "6d910a4aecca3615"),
+    18: ("4fa4f2f68b7fbb87", "3.5", "3027c5a6558607ad"),
+    19: ("212811276a9d7a40", "23.5", "eae76bebeae7f5de"),
+    20: ("7630d804f82d705d", "10.5", "11e603dc6c5d952f"),
+    21: ("adbb93b013ae67ee", "7.5", "52f8a13ec97c1644"),
+    22: ("df6930e731f7b596", "3.75", "c5eaa81ddf646f27"),
+    23: ("0c1046bbdd4f078c", "4.0", "7cc9faee392d1897"),
+    24: ("64507ceb8c79b552", "9.0", "a0940cde31160c9a"),
+    25: ("c1fa8fbb989672ed", "20.5", "be94b88b6adec649"),
+    26: ("7c86b54e1f2bf7fc", "25.75", "95555db2e59c8d81"),
+    27: ("8361a08b8608add7", "19.5", "f0f42ea0789b013e"),
+    28: ("32bd206f48eb9ef8", "4.5", "548026541e775017"),
+    29: ("78d66d938b269151", "14.0", "4c5d2a62f3c6a65b"),
+    30: ("954784a6abeec920", "9.5", "67b79154eeac2377"),
+    31: ("59d7ccad1ddb2887", "2.25", "1709033feea41a6b"),
+    32: ("23ab85753bd33b96", "10.5", "85ce13ddd3178401"),
+    33: ("8e2015c1c042bd64", "27.0", "fa82dfeedf27dd1e"),
+    34: ("c850a8ef35a987d8", "24.0", "73d7e6a778fa5b55"),
+    35: ("f308359a80930805", "6.25", "9ab5761958416980"),
+    36: ("204929eb6e4fe15d", "10.5", "676b09d106ed1ffd"),
+    37: ("9d24d08b7f3f0483", "32.0", "803ac46ebe3b15ec"),
+    38: ("c9920a169a343c9c", "3.75", "3c237c31c73d6344"),
+    39: ("98b91f006ed20ad9", "13.0", "13a06de024a321ac"),
+}
+
+
+def pinned_compress_job(seed):
+    """A seeded tiny job: deep or character-only (every fourth seed), with
+    or without cuts, length-mode membership costs on every fifth seed,
+    alpha 0 on every sixth, routed to the exhaustive oracle on every
+    seventh."""
+    rng = random.Random(seed)
+    exact = seed % 7 == 3
+    texts = ["".join(rng.choice("abc" if seed % 2 else "ab")
+                     for _ in range(rng.randint(3, 5 if exact else 12)))
+             for _ in range(1 if exact else rng.randint(1, 3))]
+    length_mode = seed % 5 == 4
+    return job_for(texts, max_len=rng.choice([3, 4]), min_count=1,
+                   tau=rng.choice([0.0, 0.25, 0.5]), lam=rng.choice([0.5, 1.0, 2.0]),
+                   alpha=0.0 if seed % 6 == 5 else rng.choice([0.5, 1.0]),
+                   cuts=not length_mode and rng.random() < 0.5,
+                   cfl_mode=seed % 4 == 1, exact_if_small=exact,
+                   dict_cost_mode="length" if length_mode else "constant")
+
+
+def compress_outcome(job):
+    comp, report, model = compress(job)
+    assert not compression_errors(comp, model)
+    lines = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()[:16]
+    return comp.fingerprint(), repr(comp.objective), lines
+
+
+def test_compress_pinned_on_seeded_jobs():
+    got = {seed: compress_outcome(pinned_compress_job(seed)) for seed in PINNED_COMPRESS}
+    assert got == PINNED_COMPRESS
+    # prune_descent allows swap/add moves by the size of the model it is
+    # given; gating the shallow prune by the deep pointer count ends this
+    # job at 18.25
+    job = job_for(["bbaaaacaabaacbac", "cbbaccc"], max_len=4, min_count=1,
+                  tau=0.25, lam=0.5, alpha=1.0, cuts=True)
+    assert compress_outcome(job) == ("d84df356d8183857", "18.0", "184beffa5f0b5dc0")
+
+
+def test_path_sweep_pinned_on_ladder():
+    corpus = ingest(ladder_texts(5, random.Random(0)), CHAR)
+    job = CompressJob(corpus, max_len=4, min_count=2, tau=0.0, alpha=1.0, cuts=True)
+    result = path_sweep(corpus, job, [0.0, 0.25, 0.5, 1.0, 2.0])
+    assert result.fingerprints == ["ee7edc1b1dee8640", "9cf57320f53e28ed", "908e8db649bf1f78",
+                                   "5cf20029e7847bc7", "5cf20029e7847bc7"]
+    assert [repr(o) for o in result.objectives] == ["24.0", "30.6875", "35.125", "43.25", "57.5"]
