@@ -10,7 +10,7 @@ from deepdict import cli, simplex
 from deepdict.features import read_matrix
 from deepdict.pipeline import PathResult
 
-from oracles import bon_counts, ladder_texts, same_entries
+from oracles import bon_counts, labelled_ladder, ladder_texts, same_entries
 
 
 def write_corpus_file(tmp_path, name, lines):
@@ -213,6 +213,34 @@ def test_features_fractional_files_pinned(tmp_path, monkeypatch):
     digests = {name: hashlib.sha256((tmp_path / "feat" / name).read_bytes()).hexdigest()
                for name in PINNED_FRACTIONAL_FILES}
     assert digests == PINNED_FRACTIONAL_FILES
+
+
+PINNED_BON_FILES = {
+    "X.mtx": "08bfe66f6ccae24f22d429ddd663eb4e43d35cca43f519f4f7d66b8c44af89ed",
+    "G.mtx": "b51d4e7fa347f8afe59cff98a70e6d6e05771838f1d78ec153876f6474291493",
+    "Xhat.mtx": "b2e48aad2f954b20adec38c71f9e91fb5454dff4a6fad12cf33b0c12788ec7cf",
+    "features.txt": "b46479e5bbca344a36216d86f2a1b155f475afc9a3fae95710f0287637a7d78e",
+    "dag.txt": "8a9296a32d901a46156a32350cf21d02db0d76df3d7cd2e1440db353d1a3b70c",
+}
+
+
+def test_features_bon_files_pinned(tmp_path, monkeypatch):
+    # the 60-document labelled ladder; relative paths keep the headers fixed
+    monkeypatch.chdir(tmp_path)
+    write_corpus_file(tmp_path, "corpus.txt", labelled_ladder(60, 0, 0.7)[0])
+    assert cli.main(["features", "corpus.txt", "--bon", "4", "--min-count", "1",
+                     "--flat", "--out", "bon"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "bon" / name).read_bytes()).hexdigest()
+               for name in PINNED_BON_FILES}
+    assert digests == PINNED_BON_FILES
+
+
+def test_compression_json_pinned_on_ladder(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_corpus_file(tmp_path, "corpus.txt", ladder_texts(20, random.Random(0)))
+    assert cli.main(["compress", "corpus.txt", "--out", "comp"]) == 0
+    digest = hashlib.sha256((tmp_path / "comp" / "compression.json").read_bytes()).hexdigest()
+    assert digest == "b59b347cd7c25df509bee7ee9d6b04ce56550034e048493e2d4434781dd3cda8"
 
 
 def test_features_fractional_rounds_like_features(tmp_path):

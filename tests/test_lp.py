@@ -13,6 +13,7 @@ from deepdict.lp import (build_lp, check_coverable, compression_errors, dense_pr
                          exact_solve, prune_descent, round_to_compression,
                          solve_lp, sparse_program)
 from deepdict.model import DICT_STRING, Pointer, build_model, character_only
+from deepdict.pipeline import CompressJob, compress
 from deepdict.recon import Interval, ReconInstance, ReconResult, solve_dp
 
 from oracles import ladder_texts, naive_exact
@@ -492,6 +493,98 @@ def test_compression_errors_detects_defects(damage, message):
     assert not compression_errors(comp, model)
     errors = compression_errors(damage(comp, model), model)
     assert any(message in e for e in errors), errors
+
+
+def _seeded_compression(seed):
+    rng = random.Random(seed)
+    texts = ["".join(rng.choice("abc") for _ in range(rng.randint(6, 10)))
+             for _ in range(3)]
+    comp, _, model = compress(CompressJob(ingest(texts, CHAR), max_len=4, min_count=2))
+    return rng, comp, model
+
+
+def _pin_dropped_doc_pointer(rng, comp, model):
+    k = rng.randrange(len(comp.doc_pointers))
+    return replace(comp, doc_pointers=comp.doc_pointers[:k] + comp.doc_pointers[k + 1:])
+
+
+def _pin_shifted_location(rng, comp, model):
+    k = rng.randrange(len(comp.doc_pointers))
+    ptr = comp.doc_pointers[k]
+    return replace(comp, doc_pointers=comp.doc_pointers[:k]
+                   + (replace(ptr, location=ptr.location + 1),) + comp.doc_pointers[k + 1:])
+
+
+def _pin_into_non_member(rng, comp, model):
+    outside = [p for p in model.dict_pointers if p.target not in comp.dictionary]
+    return replace(comp, dict_pointers=comp.dict_pointers + (rng.choice(outside),))
+
+
+def _pin_non_member_source(rng, comp, model):
+    sources = sorted({p.source for p in comp.dict_pointers if p.kind == DICT_STRING})
+    drop = rng.choice(sources)
+    return replace(comp, dictionary=tuple(c for c in comp.dictionary if c != drop))
+
+
+def _pin_improper_substring(rng, comp, model):
+    cid = rng.choice([c for c in comp.dictionary if model.candidates.length(c) >= 2])
+    return replace(comp, dict_pointers=comp.dict_pointers + (Pointer(DICT_STRING, cid, 1, cid),))
+
+
+def _pin_other_model(rng, comp, model):
+    other = _seeded_compression(100)[2]
+    return replace(comp, doc_pointers=comp.doc_pointers
+                   + (rng.choice(list(other.doc_pointers)),))
+
+
+def _pin_objective_off(rng, comp, model):
+    return replace(comp, objective=comp.objective + rng.choice([0.5, 1.0, 2.0]))
+
+
+# the full message list of each seeded corruption, recorded when the
+# pointers were frozen dataclasses checked one by one
+PINNED_ERRORS = [
+    (_pin_dropped_doc_pointer, [
+        "document 1 not fully reconstructed", "objective mismatch: 27.0 vs 28.0"]),
+    (_pin_shifted_location, [
+        "invalid pointer Pointer(kind='document', target=2, location=7, source=8)",
+        "document 2 not fully reconstructed",
+        "compression contains pointers outside the model universe"]),
+    (_pin_into_non_member, [
+        "dictionary pointer targets non-member "
+        "Pointer(kind='dict-char', target=3, location=1, source=0)",
+        "objective mismatch: 24.0 vs 23.0"]),
+    (_pin_non_member_source, [
+        "dictionary pointer targets non-member "
+        "Pointer(kind='dict-char', target=3, location=1, source=0)",
+        "dictionary pointer targets non-member "
+        "Pointer(kind='dict-char', target=3, location=2, source=1)",
+        "document pointer uses non-member source "
+        "Pointer(kind='document', target=0, location=2, source=3)",
+        "string pointer uses non-member source "
+        "Pointer(kind='dict-string', target=12, location=2, source=3)",
+        "string pointer uses non-member source "
+        "Pointer(kind='dict-string', target=19, location=3, source=3)"]),
+    (_pin_improper_substring, [
+        "invalid pointer Pointer(kind='dict-string', target=8, location=1, source=8)",
+        "string pointer source not a proper substring "
+        "Pointer(kind='dict-string', target=8, location=1, source=8)",
+        "compression contains pointers outside the model universe"]),
+    (_pin_other_model, [
+        "invalid pointer Pointer(kind='document', target=0, location=5, source=0)",
+        "document pointer uses non-member source "
+        "Pointer(kind='document', target=0, location=5, source=0)",
+        "compression contains pointers outside the model universe"]),
+    (_pin_objective_off, ["objective mismatch: 24.0 vs 26.0"]),
+]
+
+
+@pytest.mark.parametrize("seed", range(len(PINNED_ERRORS)))
+def test_compression_errors_pinned_on_seeded_corruptions(seed):
+    damage, expected = PINNED_ERRORS[seed]
+    rng, comp, model = _seeded_compression(seed)
+    assert compression_errors(comp, model) == []
+    assert compression_errors(damage(rng, comp, model), model) == expected
 
 
 def test_round_is_stable_on_integral_solutions():

@@ -12,7 +12,7 @@ from deepdict.model import DICT_CHAR, build_model
 from deepdict.pipeline import (CompressJob, alpha_depth_check, bon_compress,
                                compress, path_sweep)
 
-from oracles import bon_counts, ladder_texts
+from oracles import bon_counts, labelled_ladder, ladder_texts
 
 
 def job_for(texts, **kwargs):
@@ -190,6 +190,14 @@ def test_bon_landmark_counts():
     assert not compression_errors(comp, model)
     assert comp.objective == -(len(comp.doc_pointers) + len(comp.dict_pointers)
                                + len(comp.dictionary))
+
+
+def test_bon_pinned_on_labelled_ladder():
+    # recorded when the landmark's pointers were frozen dataclasses
+    texts, _ = labelled_ladder(60, 0, 0.7)
+    comp, report, model = bon_compress(ingest(texts, CHAR), 4, 1)
+    assert (len(comp.doc_pointers), len(comp.dict_pointers)) == (3176, 2029)
+    assert (comp.fingerprint(), repr(comp.objective)) == ("afca3a09ba23a5dd", "-5529.0")
 
 
 def test_token_mode_end_to_end():
