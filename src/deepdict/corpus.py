@@ -11,8 +11,11 @@ symbol ids.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EmptyCorpus, EmptyDocument, InvalidParam
 
@@ -142,6 +145,11 @@ class CandidateSet:
 
     def length(self, cid: int) -> int:
         return len(self.strings[cid])
+
+    @functools.cached_property
+    def lengths(self) -> np.ndarray:
+        """The length of every candidate, by id."""
+        return np.array([len(s) for s in self.strings], dtype=np.int64)
 
     def count(self, cid: int) -> int:
         return len(self.occurrences[cid])

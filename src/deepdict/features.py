@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParam, NumericalFailure
 from .lp import ROUND_EPS, Compression
-from .model import DICT_CHAR, ModelInstance, Pointer
+from .model import CHAR_CODE, ModelInstance, Pointers
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,29 @@ class SparseMatrix:
         return out
 
 
-def _source_column(ptr: Pointer, col: dict[int, int], space: FeatureSpace,
-                   model: ModelInstance) -> int | None:
-    """Feature column a pointer's source counts on: a unigram use inside the
-    dictionary counts on its character column, any other pointer on its
-    source string's column (None when that string is not a feature)."""
-    if ptr.kind == DICT_CHAR:
-        return space.char_feature(model.candidates.strings[ptr.source][0])
-    return col.get(ptr.source)
+def _string_columns(space: FeatureSpace, model: ModelInstance) -> np.ndarray:
+    """Per candidate id, its feature column; -1 when it is not a feature."""
+    column = np.full(len(model.candidates), -1)
+    column[list(space.string_ids)] = np.arange(len(space.string_ids))
+    return column
+
+
+def _source_columns(ptrs: Pointers, space: FeatureSpace, model: ModelInstance) -> np.ndarray:
+    """Feature column each pointer's source counts on: a unigram use inside
+    the dictionary counts on its character column, any other pointer on its
+    source string's column (-1 when that string is not a feature)."""
+    char_column = np.full(len(model.corpus.table), -1)
+    char_column[list(space.symbols)] = len(space.string_ids) + np.arange(len(space.symbols))
+    unigram_column = char_column[[s[0] for s in model.candidates.strings]]
+    return np.where(ptrs.kind == CHAR_CODE, unigram_column[ptrs.source],
+                    _string_columns(space, model)[ptrs.source])
+
+
+def _counts(n_rows: int, space: FeatureSpace, rows: np.ndarray,
+            cols: np.ndarray) -> SparseMatrix:
+    if (rows < 0).any() or (cols < 0).any():
+        raise InvalidParam("a pointer refers to a string outside the feature space")
+    return SparseMatrix.from_triplets(n_rows, space.size, rows, cols, np.ones(len(rows)))
 
 
 def top_features(comp: Compression, model: ModelInstance,
@@ -103,11 +118,9 @@ def top_features(comp: Compression, model: ModelInstance,
     """Per-document counts of document-pointer sources (character columns
     stay zero)."""
     space = space or feature_space(comp, model)
-    col = {cid: i for i, cid in enumerate(space.string_ids)}
     ptrs = comp.doc_pointers
-    return SparseMatrix.from_triplets(
-        len(model.corpus.docs), space.size, [ptr.target for ptr in ptrs],
-        [_source_column(ptr, col, space, model) for ptr in ptrs], np.ones(len(ptrs)))
+    return _counts(len(model.corpus.docs), space, ptrs.target,
+                   _source_columns(ptrs, space, model))
 
 
 def dict_matrix(comp: Compression, model: ModelInstance,
@@ -116,11 +129,9 @@ def dict_matrix(comp: Compression, model: ModelInstance,
     counts the sources used to rebuild s, with unigram uses recorded on
     the character columns; character rows are zero."""
     space = space or feature_space(comp, model)
-    col = {cid: i for i, cid in enumerate(space.string_ids)}
     ptrs = comp.dict_pointers
-    return SparseMatrix.from_triplets(
-        space.size, space.size, [col[ptr.target] for ptr in ptrs],
-        [_source_column(ptr, col, space, model) for ptr in ptrs], np.ones(len(ptrs)))
+    return _counts(space.size, space, _string_columns(space, model)[ptrs.target],
+                   _source_columns(ptrs, space, model))
 
 
 def diffuse(top: SparseMatrix, dictionary: SparseMatrix, rho: float = 1.0,
@@ -194,33 +205,34 @@ def fractional_features(solution, model: ModelInstance):
     support = tuple(cid for cid in range(len(model.candidates))
                     if solution.string_value(cid) > ROUND_EPS)
     space = FeatureSpace(support, tuple(range(len(model.corpus.table))))
-    col = {cid: i for i, cid in enumerate(support)}
-    top = _weighted(len(model.corpus.docs), space.size, [
-        (ptr.target, _source_column(ptr, col, space, model), solution.doc_value(i))
-        for i, ptr in enumerate(model.doc_pointers)])
-    dictionary = _weighted(space.size, space.size, [
-        (col.get(ptr.target), _source_column(ptr, col, space, model),
-         solution.dict_value(i))
-        for i, ptr in enumerate(model.dict_pointers)])
+    n_strings, n_docs = len(model.candidates), len(model.doc_pointers)
+    docs, dicts = model.doc_pointers, model.dict_pointers
+    top = _weighted(len(model.corpus.docs), space.size, docs.target,
+                    _source_columns(docs, space, model),
+                    solution.values[n_strings:n_strings + n_docs])
+    dictionary = _weighted(space.size, space.size, _string_columns(space, model)[dicts.target],
+                           _source_columns(dicts, space, model),
+                           solution.values[n_strings + n_docs:])
     weights = [solution.string_value(cid) for cid in support]
     return space, top, dictionary, weights
 
 
-def _weighted(n_rows: int, n_cols: int, entries) -> SparseMatrix:
-    """Sum the (row, column, weight) entries that have a row and a column
-    and a weight above ROUND_EPS."""
-    kept = [e for e in entries if e[0] is not None and e[1] is not None and e[2] > ROUND_EPS]
-    return SparseMatrix.from_triplets(n_rows, n_cols, [e[0] for e in kept],
-                                      [e[1] for e in kept], [e[2] for e in kept])
+def _weighted(n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray,
+              weights: np.ndarray) -> SparseMatrix:
+    """Sum the weights that have a row and a column (not -1) and lie above
+    ROUND_EPS."""
+    kept = (rows >= 0) & (cols >= 0) & (weights > ROUND_EPS)
+    return SparseMatrix.from_triplets(n_rows, n_cols, rows[kept], cols[kept], weights[kept])
 
 
 def string_layers(comp: Compression, model: ModelInstance) -> dict[int, int]:
     """DAG layer of each dictionary string: characters sit in layer 0 and a
     string one layer above the deepest string it uses."""
     uses: dict[int, list[int]] = {cid: [] for cid in comp.dictionary}
-    for ptr in comp.dict_pointers:
-        if ptr.kind != DICT_CHAR:
-            uses[ptr.target].append(ptr.source)
+    ptrs = comp.dict_pointers
+    strings = ptrs.kind != CHAR_CODE
+    for target, source in zip(ptrs.target[strings].tolist(), ptrs.source[strings].tolist()):
+        uses[target].append(source)
     layers: dict[int, int] = {}
     for cid in sorted(comp.dictionary, key=model.candidates.length):
         layers[cid] = 1 + max((layers[src] for src in uses[cid]), default=0)
@@ -233,30 +245,32 @@ def dag_export(comp: Compression, model: ModelInstance) -> DagView:
     strings = {cid: ("str", cid) for cid in comp.dictionary}
     docs = [("doc", d.id) for d in model.corpus.docs]
     nodes = chars + list(strings.values()) + docs
-    edges = []
-    for ptr in comp.dict_pointers:
-        if ptr.kind == DICT_CHAR:
-            src = chars[model.candidates.strings[ptr.source][0]]
-            edges.append((CHAR_TO_DICT, src, strings[ptr.target], ptr.location))
-        else:
-            edges.append((DICT_TO_DICT, strings[ptr.source], strings[ptr.target],
-                          ptr.location))
+    unigram = [chars[s[0]] for s in model.candidates.strings]
+    ptrs = comp.dict_pointers
+    edges = [(CHAR_TO_DICT, unigram[source], strings[target], location) if kind == CHAR_CODE
+             else (DICT_TO_DICT, strings[source], strings[target], location)
+             for kind, target, location, source in zip(
+                 ptrs.kind.tolist(), ptrs.target.tolist(), ptrs.location.tolist(),
+                 ptrs.source.tolist())]
     layers = dict.fromkeys(chars, 0)
     string_layer = string_layers(comp, model)
     layers.update((strings[cid], layer) for cid, layer in string_layer.items())
     layers.update(dict.fromkeys(docs, 1 + max(string_layer.values(), default=0)))
-    for ptr in comp.doc_pointers:
-        edges.append((DICT_TO_DOC, strings[ptr.source], docs[ptr.target], ptr.location))
+    ptrs = comp.doc_pointers
+    edges.extend((DICT_TO_DOC, strings[source], docs[target], location)
+                 for target, location, source in zip(
+                     ptrs.target.tolist(), ptrs.location.tolist(), ptrs.source.tolist()))
     return DagView(nodes, edges, layers)
 
 
 def stats(comp: Compression, model: ModelInstance) -> dict:
     """pointer_count, mean n-gram length of document pointers, dictionary
     size, and DAG depth."""
-    lengths = [model.candidates.length(p.source) for p in comp.doc_pointers]
+    n_doc = len(comp.doc_pointers)
+    total_length = int(model.candidates.lengths[comp.doc_pointers.source].sum())
     return {
-        "pointer_count": len(comp.doc_pointers) + len(comp.dict_pointers),
-        "mnl": sum(lengths) / len(lengths) if lengths else 0.0,
+        "pointer_count": n_doc + len(comp.dict_pointers),
+        "mnl": total_length / n_doc if n_doc else 0.0,
         "dict_size": len(comp.dictionary),
         "depth": max(string_layers(comp, model).values(), default=0),
     }
@@ -264,13 +278,19 @@ def stats(comp: Compression, model: ModelInstance) -> dict:
 
 def write_matrix(path: str, mat: SparseMatrix, header_lines: list[str]) -> None:
     """Triplet file: comment header, then 'rows cols nnz', then one
-    'row col value' triplet per line (0-based)."""
+    'row col value' triplet per line (0-based).  Integral values are
+    written as integers, others as their repr."""
+    values = mat.values
+    if np.all((np.abs(values) < 2.0 ** 63) & (values == np.floor(values))):
+        text = values.astype(np.int64).tolist()
+    else:
+        text = [int(v) if v.is_integer() else repr(v) for v in values.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"{mat.n_rows} {mat.n_cols} {mat.nnz}\n")
-        fh.writelines(f"{r} {c} {int(v) if v.is_integer() else v!r}\n" for r, c, v in
-                      zip(mat.rows.tolist(), mat.cols.tolist(), mat.values.tolist()))
+        fh.write("".join([f"{r} {c} {v}\n" for r, c, v in
+                          zip(mat.rows.tolist(), mat.cols.tolist(), text)]))
 
 
 def read_matrix(path: str) -> SparseMatrix:

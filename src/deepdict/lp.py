@@ -9,9 +9,12 @@ right-extension equivalence class to one dictionary member.
 
 An LPInstance is the model plus its cut rows; no matrix is built for it.
 solve_lp builds the full program once as compressed sparse columns
-(sparse_program) and solves it in one simplex.run.  dense_program builds
-the same program as one dense matrix: the reference form that the tests
-compare sparse_program with and solve through simplex.solve.
+(sparse_program) and solves it in one simplex.run.  The model's pointers
+are int arrays (model.Pointers), so sparse_program lays out every column's
+coverage rows with repeat and arange, and the row count is one count of
+string-kind pointers.  dense_program builds the same program as one dense
+matrix, one Pointer at a time: the reference form that the tests compare
+sparse_program with and solve through simplex.solve.
 
 Once the dictionary is fixed, the program splits into one interval-cover
 DP per document and per member string.  Each model builds one
@@ -22,7 +25,12 @@ all evaluate dictionaries through it.  Rounding keeps every candidate with
 membership weight above a snap threshold, re-solves all reconstructions
 restricted to that dictionary, and prunes strings that end up unused
 (taking the transitive closure of use through string-kind reconstruction
-pointers, which is the fixed point of repeated pruning).
+pointers, which is the fixed point of repeated pruning).  These steps work
+on pointer id lists; a Compression's pointer arrays are gathered from the
+model once, for the compression that is returned.  price and
+compression_errors are array operations on those arrays: pointers are found
+in the model by packed keys, substrings are matched by one gather per
+source position, and coverage is counted per target from run offsets.
 """
 
 from __future__ import annotations
@@ -30,14 +38,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import simplex
 from .corpus import EquivalenceClasses, equivalence_classes
 from .errors import Infeasible, InvalidParam, NumericalFailure, TooLarge
-from .model import (CONSTANT_DICT_COST, DICT_STRING, ModelInstance,
-                    Pointer, pointer_is_valid)
+from .model import (CHAR_CODE, CONSTANT_DICT_COST, DOCUMENT_CODE, STRING_CODE,
+                    ModelInstance, Pointers)
 from .recon import ReconResult, solve_dp
 
 ROUND_EPS = 1e-6
@@ -62,11 +71,9 @@ class LPInstance:
     def n_rows(self) -> int:
         """Rows of the full program: coverage, linking and cut rows."""
         model = self.model
-        cands = model.candidates
-        return (model.corpus.total_symbols
-                + sum(cands.length(cid) for cid in range(len(cands)))
+        return (model.corpus.total_symbols + int(model.candidates.lengths.sum())
                 + len(model.doc_pointers)
-                + sum(ptr.kind == DICT_STRING for ptr in model.dict_pointers)
+                + int(np.count_nonzero(model.dict_pointers.kind == STRING_CODE))
                 + len(self.cut_members))
 
 
@@ -134,7 +141,7 @@ def _pointer_column(model: ModelInstance, doc_base: dict[int, int],
         ptr = model.dict_pointers[i]
         start = dict_base[ptr.target] + ptr.location - 1
         cost = model.costs.dict_costs[i]
-        source = ptr.source if ptr.kind == DICT_STRING else None
+        source = model.needs[1][i]
     return start, start + model.candidates.length(ptr.source), cost, source
 
 
@@ -191,37 +198,49 @@ def sparse_program(lp: LPInstance) -> simplex.SparseProgram:
     """The full program as CSC arrays, with the rows and variables of
     dense_program in the same order: coverage rows (document positions
     >= 1, candidate positions >= 0), one linking row (<= 0) per pointer
-    with a source string, in pointer order, then the cut rows (<= 1)."""
+    with a source string, in pointer order, then the cut rows (<= 1).
+    Each column's coverage entries are one run of rows, laid out with
+    repeat and arange from the column's first row and length."""
     model = lp.model
-    cands = model.candidates
-    row_meta, doc_base, dict_base = _coverage_rows(model)
-    n_cov = len(row_meta)
-    entries: list[tuple[int, int, float]] = []  # (row, column, value)
-    for cid in range(len(cands)):
-        base = dict_base[cid]
-        entries.extend((row, cid, -1.0) for row in range(base, base + cands.length(cid)))
-    costs = list(model.costs.string_costs)
-    link = n_cov
-    for is_doc, pointers in ((True, model.doc_pointers), (False, model.dict_pointers)):
-        for i in range(len(pointers)):
-            col = len(costs)
-            start, stop, cost, source = _pointer_column(model, doc_base, dict_base,
-                                                        i, is_doc)
-            costs.append(cost)
-            entries.extend((row, col, 1.0) for row in range(start, stop))
-            if source is not None:
-                entries += [(link, col, 1.0), (link, source, -1.0)]
-                link += 1
-    for cut, members in enumerate(lp.cut_members, link):
-        entries.extend((cut, cid, 1.0) for cid in members)
-    n = len(costs)
-    rows, cols, values = (np.array(part) for part in zip(*entries))
-    n_doc_cov, n_links, n_cuts = model.corpus.total_symbols, link - n_cov, len(lp.cut_members)
+    lengths = model.candidates.lengths
+    n_strings = len(lengths)
+    doc_first = np.cumsum([0] + [len(doc) for doc in model.corpus.docs])[:-1]
+    n_doc_cov = model.corpus.total_symbols
+    cand_first = n_doc_cov + np.cumsum(lengths) - lengths
+    n_cov = n_doc_cov + int(lengths.sum())
+    docs, dicts = model.doc_pointers, model.dict_pointers
+    # coverage: each membership column -1 on its string's rows, each pointer
+    # column +1 on the rows it fills
+    first = np.concatenate([cand_first, doc_first[docs.target] + docs.location - 1,
+                            cand_first[dicts.target] + dicts.location - 1])
+    count = lengths[np.concatenate([np.arange(n_strings), docs.source, dicts.source])]
+    run_start = np.cumsum(count) - count
+    cov_rows = np.arange(int(count.sum())) + np.repeat(first - run_start, count)
+    cov_cols = np.repeat(np.arange(len(first)), count)
+    # linking: pointer column +1 and its source's membership column -1
+    linked = np.concatenate([np.ones(len(docs), dtype=bool), dicts.kind == STRING_CODE])
+    link_cols = n_strings + np.flatnonzero(linked)
+    link_sources = np.concatenate([docs.source, dicts.source])[linked]
+    n_links = len(link_cols)
+    link_rows = n_cov + np.arange(n_links)
+    cut_rows = n_cov + n_links + np.repeat(np.arange(len(lp.cut_members)),
+                                           [len(members) for members in lp.cut_members])
+    cut_cols = np.fromiter(itertools.chain.from_iterable(lp.cut_members), dtype=np.int64,
+                           count=len(cut_rows))
+    rows = np.concatenate([cov_rows, link_rows, link_rows, cut_rows])
+    cols = np.concatenate([cov_cols, link_cols, link_sources, cut_cols])
+    values = np.ones(len(rows))
+    values[:int(lengths.sum())] = -1.0
+    values[len(cov_rows) + n_links:len(cov_rows) + 2 * n_links] = -1.0
+    costs = model.costs
+    n = len(first)
+    n_cuts = len(lp.cut_members)
     row_lower = np.concatenate([np.ones(n_doc_cov), np.zeros(n_cov - n_doc_cov),
                                 np.full(n_links + n_cuts, -np.inf)])
     row_upper = np.concatenate([np.full(n_cov, np.inf), np.zeros(n_links), np.ones(n_cuts)])
-    return simplex.SparseProgram(np.array(costs, dtype=float), np.zeros(n), np.ones(n),
-                                 row_lower, row_upper, *simplex.csc(n, rows, cols, values))
+    cost = np.array(costs.string_costs + costs.doc_costs + costs.dict_costs, dtype=float)
+    return simplex.SparseProgram(cost, np.zeros(n), np.ones(n), row_lower, row_upper,
+                                 *simplex.csc(n, rows, cols, values))
 
 
 def check_coverable(model: ModelInstance) -> None:
@@ -256,11 +275,13 @@ def solve_lp(lp: LPInstance) -> LPSolution:
 @dataclass(frozen=True)
 class Compression:
     """A binary compression: the dictionary, the document pointer set, and
-    the dictionary pointer set, with its objective under the cost model."""
+    the dictionary pointer set, with its objective under the cost model.
+    The fingerprint hashes the repr of the three, the pointer sets written
+    as tuples of Pointer values."""
 
     dictionary: tuple[int, ...]
-    doc_pointers: tuple[Pointer, ...]
-    dict_pointers: tuple[Pointer, ...]
+    doc_pointers: Pointers
+    dict_pointers: Pointers
     objective: float
 
     def fingerprint(self) -> str:
@@ -280,30 +301,49 @@ def _solve_members(model: ModelInstance, members: set[int]
     return docs, strings
 
 
-def _assemble(model: ModelInstance, docs: list[ReconResult],
-              strings: dict[int, ReconResult]) -> Compression:
+class _Selection(NamedTuple):
+    """A dictionary's reconstruction: retained strings and chosen pointer
+    ids, ascending, with their total cost."""
+
+    retained: list[int]
+    doc_idx: list[int]
+    dict_idx: list[int]
+    objective: float
+
+
+def _select(model: ModelInstance, docs: list[ReconResult],
+            strings: dict[int, ReconResult]) -> _Selection:
     """Prune to the transitive closure of actual use (the fixed point of
-    dropping unused strings) and price the result."""
+    dropping unused strings) and price the result, on id lists only."""
+    doc_sources, dict_needs = model.needs
     doc_chosen = [i for res in docs for i in res.chosen]
-    used = {model.doc_pointers[i].source for i in doc_chosen}
+    used = {doc_sources[i] for i in doc_chosen}
     frontier = list(used)
     while frontier:
         cid = frontier.pop()
         for i in strings[cid].chosen:
-            ptr = model.dict_pointers[i]
-            if ptr.kind == DICT_STRING and ptr.source not in used:
-                used.add(ptr.source)
-                frontier.append(ptr.source)
+            source = dict_needs[i]
+            if source is not None and source not in used:
+                used.add(source)
+                frontier.append(source)
     retained = sorted(used)
-    dict_ptr_idx = sorted(i for cid in retained for i in strings[cid].chosen)
-    doc_ptr_idx = sorted(doc_chosen)
-    objective = (sum(model.costs.doc_costs[i] for i in doc_ptr_idx)
-                 + sum(model.costs.dict_costs[i] for i in dict_ptr_idx)
-                 + sum(model.costs.string_costs[cid] for cid in retained))
-    return Compression(tuple(retained),
-                       tuple(model.doc_pointers[i] for i in doc_ptr_idx),
-                       tuple(model.dict_pointers[i] for i in dict_ptr_idx),
-                       objective)
+    dict_idx = sorted(i for cid in retained for i in strings[cid].chosen)
+    doc_idx = sorted(doc_chosen)
+    costs = model.costs
+    objective = (sum(costs.doc_costs[i] for i in doc_idx)
+                 + sum(costs.dict_costs[i] for i in dict_idx)
+                 + sum(costs.string_costs[cid] for cid in retained))
+    return _Selection(retained, doc_idx, dict_idx, objective)
+
+
+def _compression(model: ModelInstance, selection: _Selection) -> Compression:
+    return Compression(tuple(selection.retained), model.doc_pointers[selection.doc_idx],
+                       model.dict_pointers[selection.dict_idx], selection.objective)
+
+
+def _assemble(model: ModelInstance, docs: list[ReconResult],
+              strings: dict[int, ReconResult]) -> Compression:
+    return _compression(model, _select(model, docs, strings))
 
 
 def round_to_compression(solution: LPSolution, model: ModelInstance) -> Compression:
@@ -322,9 +362,11 @@ def prune_descent(comp: Compression, model: ModelInstance) -> Compression:
     candidate or add one), re-solving every reconstruction against the new
     dictionary, while the objective strictly decreases.  Each step keeps a
     valid binary compression, so this only sharpens the rounding and is a
-    no-op when the input is already a binary optimum."""
+    no-op when the input is already a binary optimum.  Trials are compared
+    on id lists; only the result is laid out as pointer arrays."""
     members = set(comp.dictionary)
-    best = comp
+    best: _Selection | None = None
+    best_objective = comp.objective
     all_cids = set(range(len(model.candidates)))
     universe = len(model.doc_pointers) + len(model.dict_pointers)
     while True:
@@ -338,65 +380,146 @@ def prune_descent(comp: Compression, model: ModelInstance) -> Compression:
         improved = None
         for trial in trials:
             try:
-                candidate = _assemble(model, *_solve_members(model, trial))
+                candidate = _select(model, *_solve_members(model, trial))
             except Infeasible:
                 continue
-            if candidate.objective < best.objective - 1e-9 and (
+            if candidate.objective < best_objective - 1e-9 and (
                     improved is None or candidate.objective < improved.objective - 1e-9):
                 improved = candidate
         if improved is None:
-            return best
+            return comp if best is None else _compression(model, best)
         best = improved
-        members = set(best.dictionary)
+        best_objective = best.objective
+        members = set(best.retained)
 
 
 def price(comp: Compression, model: ModelInstance) -> float:
-    """The compression's objective under the model's costs; a pointer
+    """The compression's objective under the model's costs, each pointer
+    found in the model by its packed key; a pointer or a dictionary id
     outside the model's universe raises KeyError."""
-    doc_idx = {ptr: i for i, ptr in enumerate(model.doc_pointers)}
-    dict_idx = {ptr: i for i, ptr in enumerate(model.dict_pointers)}
-    return (sum(model.costs.string_costs[cid] for cid in comp.dictionary)
-            + sum(model.costs.doc_costs[doc_idx[p]] for p in comp.doc_pointers)
-            + sum(model.costs.dict_costs[dict_idx[p]] for p in comp.dict_pointers))
+    costs = model.costs
+    doc_idx = model.doc_pointers.find(comp.doc_pointers)
+    dict_idx = model.dict_pointers.find(comp.dict_pointers)
+    if ((doc_idx < 0).any() or (dict_idx < 0).any()
+            or not all(0 <= cid < len(costs.string_costs) for cid in comp.dictionary)):
+        raise KeyError("pointer or string outside the model universe")
+    return (sum(costs.string_costs[cid] for cid in comp.dictionary)
+            + sum([costs.doc_costs[i] for i in doc_idx.tolist()])
+            + sum([costs.dict_costs[i] for i in dict_idx.tolist()]))
+
+
+def _within(ids: np.ndarray, n: int) -> np.ndarray:
+    return (ids >= 0) & (ids < n)
+
+
+def _valid_placements(ptrs: Pointers, model: ModelInstance) -> np.ndarray:
+    """Per pointer: its target and source ids exist, its kind's source rule
+    holds (a unigram for a character slot, a proper substring for a string
+    pointer), and the target's symbols at its location equal the source.
+    The match is one gather per source position from a pool of every
+    document's symbols followed by the candidates' padded symbol rows."""
+    docs = model.corpus.docs
+    strings = model.candidates.strings
+    lengths = model.candidates.lengths
+    width = int(lengths.max())
+    padded = np.full((len(strings), width), -1, dtype=np.int64)
+    for cid, s in enumerate(strings):
+        padded[cid, :len(s)] = s
+    doc_len = np.array([len(doc) for doc in docs])
+    doc_first = np.cumsum(doc_len) - doc_len
+    n_symbols = int(doc_len.sum())
+    pool = np.concatenate([np.fromiter(itertools.chain.from_iterable(d.symbols for d in docs),
+                                       dtype=np.int64, count=n_symbols), padded.ravel()])
+    is_doc = ptrs.kind == DOCUMENT_CODE
+    valid = (_within(ptrs.source, len(strings))
+             & _within(ptrs.target, np.where(is_doc, len(docs), len(strings))))
+    source = np.where(valid, ptrs.source, 0)
+    doc_target = np.where(valid & is_doc, ptrs.target, 0)
+    cand_target = np.where(valid & ~is_doc, ptrs.target, 0)
+    src_len = lengths[source]
+    tgt_len = np.where(is_doc, doc_len[doc_target], lengths[cand_target])
+    valid &= np.where(ptrs.kind == CHAR_CODE, src_len == 1, True)
+    valid &= np.where(ptrs.kind == STRING_CODE, src_len < tgt_len, True)
+    lo = ptrs.location - 1
+    valid &= (lo >= 0) & (lo + src_len <= tgt_len)
+    at = np.where(is_doc, doc_first[doc_target], n_symbols + cand_target * width)
+    at = np.where(valid, at + lo, 0)  # where the source's first symbol lands
+    for j in range(width):
+        used = valid & (j < src_len)
+        valid &= ~used | (pool[np.where(used, at + j, 0)] == padded[source, j])
+    return valid
+
+
+def _misfits(first: np.ndarray, length: np.ndarray, target: np.ndarray,
+             target_len: np.ndarray) -> np.ndarray:
+    """Per target: whether the runs [first, first + length) (1-based, one
+    per pointer into that target) leave a position uncovered or cover one
+    past either end."""
+    spills = (first < 1) | (first - 1 + length > target_len[target])
+    misfit = np.zeros(len(target_len), dtype=bool)
+    misfit[target[spills]] = True
+    fits = ~spills
+    offset = np.cumsum(target_len) - target_len
+    lo = offset[target[fits]] + first[fits] - 1
+    size = int(target_len.sum())
+    depth = np.cumsum(np.bincount(lo, minlength=size + 1)
+                      - np.bincount(lo + length[fits], minlength=size + 1))
+    uncovered = np.add.reduceat(depth[:size] == 0, offset) > 0
+    return misfit | uncovered
 
 
 def compression_errors(comp: Compression, model: ModelInstance) -> list[str]:
     """Full validity check: coverage of documents and dictionary strings,
     membership of every string-using pointer source, proper-substring rule,
-    acyclicity, and the recorded objective."""
+    acyclicity, and the recorded objective.  Every check is an array
+    operation over the pointer sets; a pointer whose target or source id
+    does not exist is reported invalid and takes part in no other check,
+    and a dictionary id that does not exist is reported and dropped."""
     errors = []
+    docs, dicts = comp.doc_pointers, comp.dict_pointers
+    lengths = model.candidates.lengths
+    n_docs, n_cands = len(model.corpus.docs), len(lengths)
     members = set(comp.dictionary)
-    for ptr in comp.doc_pointers + comp.dict_pointers:
-        if not pointer_is_valid(ptr, model.corpus, model.candidates):
-            errors.append(f"invalid pointer {ptr}")
-    # indexed by target as pointer_is_valid indexes the corpus, so a target
-    # that got past it has a slot
-    doc_covered: list[set[int]] = [set() for _ in model.corpus.docs]
-    for ptr in comp.doc_pointers:
-        doc_covered[ptr.target].update(
-            range(ptr.location, ptr.location + model.candidates.length(ptr.source)))
-    for doc, covered in zip(model.corpus.docs, doc_covered):
-        if covered != set(range(1, len(doc) + 1)):
-            errors.append(f"document {doc.id} not fully reconstructed")
-    by_target: dict[int, set[int]] = {cid: set() for cid in members}
-    for ptr in comp.dict_pointers:
-        if ptr.target not in members:
-            errors.append(f"dictionary pointer targets non-member {ptr}")
-            continue
-        by_target[ptr.target].update(
-            range(ptr.location, ptr.location + model.candidates.length(ptr.source)))
+    unknown = sorted(cid for cid in members if not 0 <= cid < n_cands)
+    for cid in unknown:
+        errors.append(f"dictionary string {cid} does not exist")
+    members.difference_update(unknown)
+    member = np.zeros(n_cands, dtype=bool)
+    member[list(members)] = True
+
+    def is_member(ids):
+        return _within(ids, n_cands) & member[np.where(_within(ids, n_cands), ids, 0)]
+
+    both = docs + dicts
+    for i in np.flatnonzero(~_valid_placements(both, model)).tolist():
+        errors.append(f"invalid pointer {both[i]}")
+    known = _within(docs.target, n_docs) & _within(docs.source, n_cands)
+    doc_len = np.array([len(doc) for doc in model.corpus.docs])
+    misfit = _misfits(docs.location[known], lengths[docs.source[known]],
+                      docs.target[known], doc_len)
+    for d in np.flatnonzero(misfit).tolist():
+        errors.append(f"document {model.corpus.docs[d].id} not fully reconstructed")
+    into_member = is_member(dicts.target)
+    for i in np.flatnonzero(~into_member).tolist():
+        errors.append(f"dictionary pointer targets non-member {dicts[i]}")
+    known = into_member & _within(dicts.source, n_cands)
+    misfit = _misfits(dicts.location[known], lengths[dicts.source[known]],
+                      dicts.target[known], lengths)
     for cid in members:
-        if by_target[cid] != set(range(1, model.candidates.length(cid) + 1)):
+        if misfit[cid]:
             errors.append(f"dictionary string {cid} not fully reconstructed")
-    for ptr in comp.doc_pointers:
-        if ptr.source not in members:
-            errors.append(f"document pointer uses non-member source {ptr}")
-    for ptr in comp.dict_pointers:
-        if ptr.kind == DICT_STRING:
-            if ptr.source not in members:
-                errors.append(f"string pointer uses non-member source {ptr}")
-            if model.candidates.length(ptr.source) >= model.candidates.length(ptr.target):
-                errors.append(f"string pointer source not a proper substring {ptr}")
+    for i in np.flatnonzero(~is_member(docs.source)).tolist():
+        errors.append(f"document pointer uses non-member source {docs[i]}")
+    string = dicts.kind == STRING_CODE
+    outside = string & ~is_member(dicts.source)
+    known = _within(dicts.source, n_cands) & _within(dicts.target, n_cands)
+    improper = string & known & (lengths[np.where(known, dicts.source, 0)]
+                                 >= lengths[np.where(known, dicts.target, 0)])
+    for i in np.flatnonzero(outside | improper).tolist():
+        if outside[i]:
+            errors.append(f"string pointer uses non-member source {dicts[i]}")
+        if improper[i]:
+            errors.append(f"string pointer source not a proper substring {dicts[i]}")
     try:
         recorded = price(comp, model)
     except KeyError:
@@ -444,7 +567,5 @@ def exact_solve(model: ModelInstance, limit: int = EXACT_LIMIT,
     cost, subset, docs, strings = best
     doc_idx = sorted(i for res in docs for i in res.chosen)
     dict_idx = sorted(i for res in strings.values() for i in res.chosen)
-    return Compression(subset,
-                       tuple(model.doc_pointers[i] for i in doc_idx),
-                       tuple(model.dict_pointers[i] for i in dict_idx),
+    return Compression(subset, model.doc_pointers[doc_idx], model.dict_pointers[dict_idx],
                        cost)

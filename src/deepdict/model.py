@@ -12,21 +12,35 @@ pointers and strings are omitted and never become variables.  A model
 groups its pointers into one reconstruction instance per target, once,
 the first time they are asked for; every dictionary evaluation solves
 those instances, filtering by membership inside the DP.
+
+A pointer set is a Pointers: four parallel int64 arrays (kind code,
+target, 1-based location, source), one entry per pointer, so memory stays
+linear in the pointer universe and enumeration, the LP program, pricing,
+validation and features are array operations.  Models and compressions
+hold their pointers this way.  A Pointer value exists only at the edges:
+iterating a Pointers, or indexing it at one position, makes them (for
+tests, compression.json, the recon command and error messages).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .corpus import CandidateSet, Corpus
-from .errors import InvalidParam
+from .errors import InvalidParam, TooLarge
 from .recon import Interval, ReconInstance
 
 DOCUMENT = "document"
 DICT_CHAR = "dict-char"
 DICT_STRING = "dict-string"
+KINDS = (DOCUMENT, DICT_CHAR, DICT_STRING)  # a kind code indexes this tuple
+DOCUMENT_CODE, CHAR_CODE, STRING_CODE = range(len(KINDS))
 
 CONSTANT_DICT_COST = "constant"
 LENGTH_DICT_COST = "length"
@@ -38,6 +52,81 @@ class Pointer:
     target: int  # doc id for DOCUMENT, candidate id otherwise
     location: int  # 1-based start within the target
     source: int  # candidate id (a unigram for DICT_CHAR)
+
+
+_FIELDS = ("kind", "target", "location", "source")
+_PREFIX = tuple(f"Pointer(kind={kind!r}, target=" for kind in KINDS)
+
+
+@dataclass(frozen=True, eq=False)
+class Pointers:
+    """Pointers as parallel int64 arrays: kind codes (indexes into KINDS),
+    targets, 1-based locations and sources.  Indexing one position gives a
+    Pointer; a slice, mask or index array gives Pointers; iteration yields
+    Pointer values in order, and the repr is that of their tuple."""
+
+    kind: np.ndarray
+    target: np.ndarray
+    location: np.ndarray
+    source: np.ndarray
+
+    @classmethod
+    def of(cls, pointers: Iterable[Pointer]) -> Pointers:
+        rows = [(KINDS.index(p.kind), p.target, p.location, p.source) for p in pointers]
+        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy())
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            kind, target, location, source = (int(getattr(self, f)[index]) for f in _FIELDS)
+            return Pointer(KINDS[kind], target, location, source)
+        return Pointers(*(getattr(self, f)[index] for f in _FIELDS))
+
+    def __iter__(self):
+        return map(Pointer, [KINDS[k] for k in self.kind.tolist()], self.target.tolist(),
+                   self.location.tolist(), self.source.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Pointers):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _FIELDS)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f).tobytes() for f in _FIELDS))
+
+    def __add__(self, other: Iterable[Pointer]) -> Pointers:
+        other = other if isinstance(other, Pointers) else Pointers.of(other)
+        return Pointers(*(np.concatenate([getattr(self, f), getattr(other, f)])
+                          for f in _FIELDS))
+
+    def __repr__(self) -> str:
+        items = [f"{_PREFIX[k]}{t}, location={loc}, source={s})" for k, t, loc, s in
+                 zip(self.kind.tolist(), self.target.tolist(), self.location.tolist(),
+                     self.source.tolist())]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+    def find(self, query: Pointers) -> np.ndarray:
+        """The position of each query pointer in this set, -1 where it has
+        none: both sides packed into one int64 key per pointer, then one
+        sorted search."""
+        if not len(self):
+            return np.full(len(query), -1)
+        radices = [int(getattr(self, f).max()) + 1 for f in _FIELDS]  # values are nonnegative
+        if math.prod(radices) >= 2 ** 63:
+            raise TooLarge("pointer fields too large to pack into one int64 key")
+        inside = np.ones(len(query), dtype=bool)
+        own = np.zeros(len(self), dtype=np.int64)
+        key = np.zeros(len(query), dtype=np.int64)
+        for f, radix in zip(_FIELDS, radices):
+            values, wanted = getattr(self, f), getattr(query, f)
+            inside &= (wanted >= 0) & (wanted < radix)
+            own = own * radix + values
+            key = key * radix + np.where(inside, wanted, 0)
+        order = np.argsort(own, kind="stable")
+        found = order[np.minimum(np.searchsorted(own, key, sorter=order), len(self) - 1)]
+        return np.where(inside & (own[found] == key), found, -1)
 
 
 @dataclass(frozen=True)
@@ -62,29 +151,46 @@ class CostModel:
                 and all(c >= 0 for c in self.string_costs))
 
 
-def build_pointers(corpus: Corpus, candidates: CandidateSet
-                   ) -> tuple[list[Pointer], list[Pointer]]:
+def _pairs(lists: list[list[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten per-candidate lists of pairs: (the candidate id of each pair,
+    the first members, the second members)."""
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(lists)),
+                       dtype=np.int64).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(lists)), [len(pairs) for pairs in lists])
+    return owner, flat[:, 0], flat[:, 1]
+
+
+def build_pointers(corpus: Corpus, candidates: CandidateSet) -> tuple[Pointers, Pointers]:
     """Enumerate the full finite-cost pointer universe.
 
     Returns (document pointers, dictionary pointers), each in a fixed
-    deterministic order so downstream variable ids are reproducible.
+    deterministic order so downstream variable ids are reproducible:
+    documents by (target, location, source), dictionary pointers by
+    (target, location, kind, source), character slots before strings.
     """
     if len(candidates) == 0:
         raise InvalidParam("candidate set is empty")
-    doc_ptrs: list[Pointer] = []
-    for cid in range(len(candidates)):
-        for doc, start in candidates.occurrences[cid]:
-            doc_ptrs.append(Pointer(DOCUMENT, doc, start, cid))
-    doc_ptrs.sort(key=lambda p: (p.target, p.location, p.source))
+    source, doc, start = _pairs(candidates.occurrences)
+    doc_ptrs = Pointers(np.full(len(source), DOCUMENT_CODE), doc, start, source)
+    doc_ptrs = doc_ptrs[np.lexsort((source, start, doc))]
 
-    dict_ptrs: list[Pointer] = []
-    for cid in range(len(candidates)):
-        s = candidates.strings[cid]
-        for pos, sym in enumerate(s, start=1):
-            dict_ptrs.append(Pointer(DICT_CHAR, cid, pos, candidates.unigram_id(sym)))
-        for sub_cid, loc in candidates.substring_index[cid]:
-            dict_ptrs.append(Pointer(DICT_STRING, cid, loc, sub_cid))
-    dict_ptrs.sort(key=lambda p: (p.target, p.location, p.kind == DICT_STRING, p.source))
+    lengths = candidates.lengths
+    symbols = np.fromiter(itertools.chain.from_iterable(candidates.strings),
+                          dtype=np.int64, count=int(lengths.sum()))
+    present = np.bincount(symbols)  # not np.unique, which imports numpy.ma
+    unigram = np.zeros(len(present), dtype=np.int64)
+    for sym in np.flatnonzero(present).tolist():
+        unigram[sym] = candidates.unigram_id(sym)
+    char_target = np.repeat(np.arange(len(candidates)), lengths)
+    char_location = np.arange(len(symbols)) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
+    sub_target, sub_source, sub_location = _pairs(candidates.substring_index)
+    dict_ptrs = Pointers(
+        np.repeat([CHAR_CODE, STRING_CODE], [len(symbols), len(sub_target)]),
+        np.concatenate([char_target, sub_target]),
+        np.concatenate([char_location, sub_location]),
+        np.concatenate([unigram[symbols], sub_source]))
+    dict_ptrs = dict_ptrs[np.lexsort((dict_ptrs.source, dict_ptrs.kind,
+                                      dict_ptrs.location, dict_ptrs.target))]
     return doc_ptrs, dict_ptrs
 
 
@@ -92,9 +198,19 @@ def build_pointers(corpus: Corpus, candidates: CandidateSet
 class ModelInstance:
     corpus: Corpus
     candidates: CandidateSet
-    doc_pointers: list[Pointer]
-    dict_pointers: list[Pointer]
+    doc_pointers: Pointers
+    dict_pointers: Pointers
     costs: CostModel
+
+    @functools.cached_property
+    def needs(self) -> tuple[list[int], list[int | None]]:
+        """The string each pointer needs in the dictionary, as lists for
+        per-dictionary lookups: every document pointer's source, and each
+        dictionary pointer's source, or None for a character slot."""
+        sources = self.dict_pointers.source.tolist()
+        chars = (self.dict_pointers.kind == CHAR_CODE).tolist()
+        return (self.doc_pointers.source.tolist(),
+                [None if char else source for source, char in zip(sources, chars)])
 
     @functools.cached_property
     def recon_instances(self) -> tuple[list[ReconInstance], list[ReconInstance]]:
@@ -102,22 +218,24 @@ class ModelInstance:
         document (indexed by doc id) its pointers, per candidate its
         character slots (source None: they need no member) and its string
         pointers.  Each interval list keeps the model's pointer order."""
-        length = self.candidates.length
-        doc_iv: list[list[Interval]] = [[] for _ in self.corpus.docs]
-        for i, ptr in enumerate(self.doc_pointers):
-            doc_iv[ptr.target].append(Interval(ptr.location, length(ptr.source),
-                                               self.costs.doc_costs[i], i, ptr.source))
-        dict_iv: list[list[Interval]] = [[] for _ in self.candidates.strings]
-        for i, ptr in enumerate(self.dict_pointers):
-            dict_iv[ptr.target].append(
-                Interval(ptr.location, length(ptr.source), self.costs.dict_costs[i], i,
-                         None if ptr.kind == DICT_CHAR else ptr.source))
-        docs = [ReconInstance(doc.symbols, ivs) for doc, ivs in zip(self.corpus.docs, doc_iv)]
-        strings = [ReconInstance(s, ivs) for s, ivs in zip(self.candidates.strings, dict_iv)]
+        lengths = self.candidates.lengths
+        doc_needs, dict_needs = self.needs
+        groups = []
+        for ptrs, costs, needs, n_targets in (
+                (self.doc_pointers, self.costs.doc_costs, doc_needs, len(self.corpus.docs)),
+                (self.dict_pointers, self.costs.dict_costs, dict_needs, len(lengths))):
+            intervals: list[list[Interval]] = [[] for _ in range(n_targets)]
+            for i, (target, location, length, cost, need) in enumerate(zip(
+                    ptrs.target.tolist(), ptrs.location.tolist(),
+                    lengths[ptrs.source].tolist(), costs, needs)):
+                intervals[target].append(Interval(location, length, cost, i, need))
+            groups.append(intervals)
+        docs = [ReconInstance(doc.symbols, ivs) for doc, ivs in zip(self.corpus.docs, groups[0])]
+        strings = [ReconInstance(s, ivs) for s, ivs in zip(self.candidates.strings, groups[1])]
         return docs, strings
 
 
-def scheme_costs(doc_pointers: list[Pointer], dict_pointers: list[Pointer],
+def scheme_costs(doc_pointers: Pointers, dict_pointers: Pointers,
                  candidates: CandidateSet, tau: float, lam: float, alpha: float,
                  dict_cost_mode: str = CONSTANT_DICT_COST) -> CostModel:
     """The parametric cost scheme: document pointers cost 1, dictionary
@@ -133,7 +251,8 @@ def scheme_costs(doc_pointers: list[Pointer], dict_pointers: list[Pointer],
     if dict_cost_mode not in (CONSTANT_DICT_COST, LENGTH_DICT_COST):
         raise InvalidParam(f"unknown dict cost mode {dict_cost_mode!r}")
     doc_costs = [1.0] * len(doc_pointers)
-    dict_costs = [alpha * lam if p.kind == DICT_CHAR else lam for p in dict_pointers]
+    dict_costs = [alpha * lam if kind == CHAR_CODE else lam
+                  for kind in dict_pointers.kind.tolist()]
     if dict_cost_mode == CONSTANT_DICT_COST:
         string_costs = [float(tau)] * len(candidates)
     else:
@@ -142,7 +261,7 @@ def scheme_costs(doc_pointers: list[Pointer], dict_pointers: list[Pointer],
                      SchemeParams(tau, lam, alpha, dict_cost_mode))
 
 
-def bon_landmark_costs(doc_pointers: list[Pointer], dict_pointers: list[Pointer],
+def bon_landmark_costs(doc_pointers: Pointers, dict_pointers: Pointers,
                        candidates: CandidateSet, max_len: int) -> CostModel:
     """Uniform negative costs whose optimum keeps every pointer and string,
     yielding the fully redundant all-n-grams representation."""
@@ -167,26 +286,7 @@ def build_model(corpus: Corpus, candidates: CandidateSet, tau: float, lam: float
 def character_only(model: ModelInstance) -> ModelInstance:
     """The shallow (Compressive Feature Learning) restriction: the character
     slots among the dictionary pointers, in model order; all else is shared."""
-    keep = [i for i, ptr in enumerate(model.dict_pointers) if ptr.kind == DICT_CHAR]
-    costs = replace(model.costs, dict_costs=[model.costs.dict_costs[i] for i in keep])
-    return replace(model, dict_pointers=[model.dict_pointers[i] for i in keep], costs=costs)
-
-
-def pointer_is_valid(ptr: Pointer, corpus: Corpus, candidates: CandidateSet) -> bool:
-    """Substring-match check: the target's symbols at the pointer location
-    must equal the source string, with kind-specific source rules."""
-    src = candidates.strings[ptr.source]
-    if ptr.kind == DOCUMENT:
-        target = corpus.docs[ptr.target].symbols
-    else:
-        target = candidates.strings[ptr.target]
-        if ptr.kind == DICT_CHAR:
-            if len(src) != 1:
-                return False
-        elif len(src) >= len(target):
-            return False  # string-kind sources must be proper substrings
-    lo = ptr.location - 1
-    hi = lo + len(src)
-    if lo < 0 or hi > len(target):
-        return False
-    return tuple(target[lo:hi]) == src
+    keep = model.dict_pointers.kind == CHAR_CODE
+    costs = replace(model.costs, dict_costs=list(
+        itertools.compress(model.costs.dict_costs, keep.tolist())))
+    return replace(model, dict_pointers=model.dict_pointers[keep], costs=costs)

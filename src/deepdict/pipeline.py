@@ -17,7 +17,7 @@ from .errors import InvalidParam
 from .features import stats
 from .lp import (EXACT_LIMIT, Compression, LPSolution, build_lp, compression_errors,
                  exact_solve, price, round_to_compression, solve_lp)
-from .model import (CONSTANT_DICT_COST, DICT_CHAR, ModelInstance,
+from .model import (CHAR_CODE, CONSTANT_DICT_COST, ModelInstance,
                     bon_landmark_costs, build_model, build_pointers, character_only)
 
 
@@ -151,8 +151,7 @@ def bon_compress(corpus: Corpus, max_len: int,
     costs = bon_landmark_costs(doc_ptrs, dict_ptrs, candidates, max_len)
     model = ModelInstance(corpus, candidates, doc_ptrs, dict_ptrs, costs)
     objective = -(len(doc_ptrs) + len(dict_ptrs) + len(candidates))
-    comp = Compression(tuple(range(len(candidates))), tuple(doc_ptrs),
-                       tuple(dict_ptrs), float(objective))
+    comp = Compression(tuple(range(len(candidates))), doc_ptrs, dict_ptrs, float(objective))
     _assert_valid(comp, model)
     report = _report("bon", None, comp, model)
     return comp, report, model
@@ -233,8 +232,6 @@ def alpha_depth_check(corpus: Corpus, job: CompressJob, alpha: float,
     if alpha >= 1.0 / k_check:
         raise InvalidParam("requires alpha < 1/k_check")
     comp, _, model = compress(replace(job, corpus=corpus, alpha=alpha))
-    for ptr in comp.dict_pointers:
-        if (model.candidates.length(ptr.target) <= k_check
-                and ptr.kind != DICT_CHAR):
-            return False
-    return True
+    ptrs = comp.dict_pointers
+    short = model.candidates.lengths[ptrs.target] <= k_check
+    return not (short & (ptrs.kind != CHAR_CODE)).any()

@@ -117,6 +117,7 @@ def naive_exact(model, limit: int = 20) -> float:
     cands = model.candidates
     ncand = len(cands)
     assert ncand <= limit
+    doc_pointers, dict_pointers = list(model.doc_pointers), list(model.dict_pointers)
     best = math.inf
     for subset in itertools.chain.from_iterable(
             itertools.combinations(range(ncand), r) for r in range(1, ncand + 1)):
@@ -127,7 +128,7 @@ def naive_exact(model, limit: int = 20) -> float:
         feasible = True
         for doc in model.corpus.docs:
             ivs = [(p.location, cands.length(p.source), model.costs.doc_costs[i])
-                   for i, p in enumerate(model.doc_pointers)
+                   for i, p in enumerate(doc_pointers)
                    if p.target == doc.id and p.source in member]
             part = min_cover_search(len(doc), ivs)
             if not math.isfinite(part):
@@ -138,7 +139,7 @@ def naive_exact(model, limit: int = 20) -> float:
             continue
         for cid in member:
             ivs = [(p.location, cands.length(p.source), model.costs.dict_costs[i])
-                   for i, p in enumerate(model.dict_pointers)
+                   for i, p in enumerate(dict_pointers)
                    if p.target == cid and (p.kind == DICT_CHAR or p.source in member)]
             part = min_cover_search(cands.length(cid), ivs)
             if not math.isfinite(part):
@@ -148,6 +149,53 @@ def naive_exact(model, limit: int = 20) -> float:
         if feasible and cost < best:
             best = cost
     return best
+
+
+def reference_pointers(corpus, candidates):
+    """The pointer universe built one Pointer at a time: every occurrence
+    of every candidate in the documents, sorted by (target, location,
+    source); every character slot and indexed substring occurrence in the
+    candidates, sorted by (target, location, string kind last, source)."""
+    from deepdict.model import DICT_CHAR, DICT_STRING, DOCUMENT, Pointer
+
+    doc_ptrs = [Pointer(DOCUMENT, doc, start, cid)
+                for cid in range(len(candidates))
+                for doc, start in candidates.occurrences[cid]]
+    doc_ptrs.sort(key=lambda p: (p.target, p.location, p.source))
+    dict_ptrs = []
+    for cid, s in enumerate(candidates.strings):
+        dict_ptrs.extend(Pointer(DICT_CHAR, cid, pos, candidates.unigram_id(sym))
+                         for pos, sym in enumerate(s, start=1))
+        dict_ptrs.extend(Pointer(DICT_STRING, cid, loc, sub)
+                         for sub, loc in candidates.substring_index[cid])
+    dict_ptrs.sort(key=lambda p: (p.target, p.location, p.kind == DICT_STRING, p.source))
+    return doc_ptrs, dict_ptrs
+
+
+def pointer_is_valid(ptr, corpus, candidates) -> bool:
+    """Substring-match check of one pointer: its target and source ids
+    exist, and the target's symbols at the pointer location equal the
+    source string, with kind-specific source rules."""
+    from deepdict.model import DICT_CHAR, DOCUMENT
+
+    targets = corpus.docs if ptr.kind == DOCUMENT else candidates.strings
+    if not (0 <= ptr.source < len(candidates) and 0 <= ptr.target < len(targets)):
+        return False
+    src = candidates.strings[ptr.source]
+    if ptr.kind == DOCUMENT:
+        target = corpus.docs[ptr.target].symbols
+    else:
+        target = candidates.strings[ptr.target]
+        if ptr.kind == DICT_CHAR:
+            if len(src) != 1:
+                return False
+        elif len(src) >= len(target):
+            return False  # string-kind sources must be proper substrings
+    lo = ptr.location - 1
+    hi = lo + len(src)
+    if lo < 0 or hi > len(target):
+        return False
+    return tuple(target[lo:hi]) == src
 
 
 def entries(mat) -> dict[tuple[int, int], float]:

@@ -9,7 +9,7 @@ from deepdict.features import (SparseMatrix, dag_export, dict_matrix, diffuse,
                                feature_space, fractional_features, read_matrix, stats,
                                top_features, write_dag, write_matrix, write_names)
 from deepdict.lp import Compression, build_lp, compression_errors, solve_lp
-from deepdict.model import DICT_CHAR, DICT_STRING, DOCUMENT, Pointer, build_model
+from deepdict.model import DICT_CHAR, DICT_STRING, DOCUMENT, Pointer, Pointers, build_model
 from deepdict.pipeline import CompressJob, bon_compress, build_job_model, compress
 
 from oracles import bon_counts, entries, labelled_ladder, random_corpus, same_entries
@@ -27,11 +27,11 @@ def nested_example():
     b_id = candidates.index[(1,)]
     comp = Compression(
         dictionary=(ab, abab),
-        doc_pointers=(Pointer(DOCUMENT, 0, 1, abab), Pointer(DOCUMENT, 0, 5, ab)),
-        dict_pointers=(
+        doc_pointers=Pointers.of((Pointer(DOCUMENT, 0, 1, abab), Pointer(DOCUMENT, 0, 5, ab))),
+        dict_pointers=Pointers.of((
             Pointer(DICT_CHAR, ab, 1, a_id), Pointer(DICT_CHAR, ab, 2, b_id),
             Pointer(DICT_STRING, abab, 1, ab), Pointer(DICT_STRING, abab, 3, ab),
-        ),
+        )),
         objective=6.0,
     )
     assert not compression_errors(comp, model)

@@ -12,11 +12,12 @@ from deepdict.errors import Infeasible, InvalidParam, TooLarge
 from deepdict.lp import (build_lp, check_coverable, compression_errors, dense_program,
                          exact_solve, prune_descent, round_to_compression,
                          solve_lp, sparse_program)
-from deepdict.model import DICT_STRING, Pointer, build_model, character_only
+from deepdict.model import (DICT_CHAR, DICT_STRING, DOCUMENT, Pointer, build_model,
+                            character_only)
 from deepdict.pipeline import CompressJob, compress
 from deepdict.recon import Interval, ReconInstance, ReconResult, solve_dp
 
-from oracles import ladder_texts, naive_exact
+from oracles import ladder_texts, naive_exact, pointer_is_valid
 
 SNAP = 1e-6
 
@@ -92,6 +93,21 @@ def test_build_lp_allocates_no_dense_matrix():
             tracemalloc.stop()
         assert peak < 2**20
         assert lp.n_rows == 1056 + len(lp.cut_members)
+
+
+def test_sparse_program_memory_linear_in_its_size():
+    # columns are laid out as array runs, not one Python tuple per nonzero:
+    # building the 160-doc ladder's program adds at most five times the
+    # bytes of the program it returns
+    lp = build_lp(model_for(ladder_texts(160, random.Random(0)), 4, 2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        program = sparse_program(lp)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * sum(part.nbytes for part in vars(program).values())
 
 
 def test_solution_satisfies_rows():
@@ -478,8 +494,14 @@ def _outside_universe(comp, model):
                    + (Pointer(DICT_STRING, 6, 3, 2),))
 
 
+def _spill_past_end(comp, model):
+    # "ab" at the last position of "abcab": every position stays covered
+    return replace(comp, doc_pointers=comp.doc_pointers + (Pointer(DOCUMENT, 1, 5, 3),))
+
+
 @pytest.mark.parametrize("damage,message", [
     (_drop_doc_pointer, "document 0 not fully reconstructed"),
+    (_spill_past_end, "document 1 not fully reconstructed"),
     (_drop_used_member, "uses non-member source"),
     (_target_non_member, "dictionary pointer targets non-member"),
     (_change_objective, "objective mismatch: 8.0 vs 9.0"),
@@ -493,6 +515,57 @@ def test_compression_errors_detects_defects(damage, message):
     assert not compression_errors(comp, model)
     errors = compression_errors(damage(comp, model), model)
     assert any(message in e for e in errors), errors
+
+
+@pytest.mark.parametrize("ptr", [
+    Pointer(DOCUMENT, 7, 1, 0), Pointer(DOCUMENT, 0, 1, 99), Pointer(DOCUMENT, -1, 1, 0),
+    Pointer(DICT_STRING, 2, 1, 99), Pointer(DICT_CHAR, -1, 1, 0)])
+def test_compression_errors_reports_ids_out_of_range(ptr):
+    # two documents and three candidates ("a", "b", "ab"); a negative id
+    # must not wrap around to the last document or candidate
+    model = model_for(["ab", "ab"], 2, 1)
+    comp = exact_solve(model)
+    damaged = (replace(comp, doc_pointers=comp.doc_pointers + (ptr,)) if ptr.kind == DOCUMENT
+               else replace(comp, dict_pointers=comp.dict_pointers + (ptr,)))
+    assert f"invalid pointer {ptr}" in compression_errors(damaged, model)
+
+
+@pytest.mark.parametrize("cid", [3, 99, -1])
+def test_compression_errors_reports_dictionary_ids_out_of_range(cid):
+    # at tau 0 a wrapped id -1 (candidate 2, whose pointers are all there)
+    # would price and cover as if it were a member
+    model = model_for(["ab", "ab"], 2, 1)
+    comp = exact_solve(model)
+    errors = compression_errors(replace(comp, dictionary=comp.dictionary + (cid,)), model)
+    assert errors[0] == f"dictionary string {cid} does not exist"
+
+
+def test_invalid_pointers_match_per_pointer_reference():
+    # model pointers with one field moved, in and out of range, in both lists;
+    # trigrams here share two-symbol prefixes, so a mismatch can sit in a
+    # source's last symbol alone
+    rng = random.Random(17)
+    model = model_for(["aababb", "abbaab", "babba"], 3, 1)
+    comp = round_to_compression(solve_lp(build_lp(model)), model)
+    for _ in range(20):
+        lists = []
+        for universe in (model.doc_pointers, model.dict_pointers):
+            ptrs = []
+            for _ in range(15):
+                ptr = universe[rng.randrange(len(universe))]
+                field = rng.choice(["kind", "target", "location", "source", None])
+                if field == "kind":
+                    ptr = replace(ptr, kind=rng.choice([DOCUMENT, DICT_CHAR, DICT_STRING]))
+                elif field is not None:
+                    ptr = replace(ptr, **{field: getattr(ptr, field) + rng.randint(-9, 9)})
+                ptrs.append(ptr)
+            lists.append(ptrs)
+        damaged = replace(comp, doc_pointers=comp.doc_pointers[:0] + tuple(lists[0]),
+                          dict_pointers=comp.dict_pointers[:0] + tuple(lists[1]))
+        expected = [f"invalid pointer {p}" for p in lists[0] + lists[1]
+                    if not pointer_is_valid(p, model.corpus, model.candidates)]
+        got = [e for e in compression_errors(damaged, model) if e.startswith("invalid pointer")]
+        assert got == expected
 
 
 def _seeded_compression(seed):

@@ -7,8 +7,9 @@ from deepdict.corpus import CHAR, enumerate_candidates, ingest
 from deepdict.errors import InvalidParam
 from deepdict.lp import build_lp, solve_lp
 from deepdict.model import (DICT_CHAR, DICT_STRING, bon_landmark_costs,
-                            build_model, build_pointers, character_only,
-                            pointer_is_valid, scheme_costs)
+                            build_model, build_pointers, character_only, scheme_costs)
+
+from oracles import pointer_is_valid, reference_pointers
 
 
 def make(texts, max_len, min_count, **kwargs):
@@ -79,6 +80,19 @@ def test_every_pointer_is_valid():
             if ptr.kind == DICT_STRING:
                 assert candidates.length(ptr.source) < candidates.length(ptr.target)
                 assert candidates.length(ptr.source) >= 2
+
+
+def test_build_pointers_matches_reference_order():
+    rng = random.Random(12)
+    for _ in range(25):
+        texts = ["".join(rng.choice("abcd"[:rng.randint(1, 4)])
+                         for _ in range(rng.randint(1, 16)))
+                 for _ in range(rng.randint(1, 3))]
+        corpus, candidates = make(texts, rng.randint(1, 5), rng.randint(1, 2))
+        doc_ptrs, dict_ptrs = build_pointers(corpus, candidates)
+        expected_doc, expected_dict = reference_pointers(corpus, candidates)
+        assert list(doc_ptrs) == expected_doc
+        assert list(dict_ptrs) == expected_dict
 
 
 def test_scheme_costs_all_unit():
