@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -38,13 +39,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _grid(text: str) -> str:
-    """Check that text is a comma-separated list of numbers; keep it as
-    written, since the run configuration records it verbatim."""
+    """Check that text is a comma-separated list of finite numbers; keep it
+    as written, since the run configuration records it verbatim."""
     try:
-        [float(v) for v in text.split(",")]
+        finite = all(math.isfinite(float(v)) for v in text.split(","))
     except ValueError:
+        finite = False
+    if not finite:
         raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of numbers: {text!r}") from None
+            f"not a comma-separated list of finite numbers: {text!r}")
     return text
 
 

@@ -95,16 +95,16 @@ def ingest(texts: list[str], mode: str = CHAR) -> Corpus:
 
 def read_corpus(path: str, mode: str = CHAR) -> Corpus:
     """Load a corpus from a file (one document per line) or a directory
-    (one UTF-8 file per document, filename order)."""
+    (one UTF-8 file per document, filename order).  Files are read with
+    universal newlines, and one trailing newline is dropped from each.
+    Lines end at a line feed only: other characters that str.splitlines
+    breaks on, such as a form feed or U+2028, stay inside their document."""
     if os.path.isdir(path):
-        texts = []
-        for name in sorted(os.listdir(path)):
-            content = _read_text(os.path.join(path, name))
-            if content.endswith("\n"):
-                content = content[:-1]
-            texts.append(content)
+        texts = [_read_text(os.path.join(path, name)).removesuffix("\n")
+                 for name in sorted(os.listdir(path))]
     else:
-        texts = _read_text(path).splitlines()
+        content = _read_text(path)
+        texts = content.removesuffix("\n").split("\n") if content else []
     return ingest(texts, mode)
 
 
@@ -114,13 +114,6 @@ def _read_text(path: str) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise InvalidParam(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def write_corpus(corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.docs:
-            fh.write(corpus.doc_text(doc.id))
-            fh.write("\n")
 
 
 @dataclass

@@ -293,16 +293,6 @@ def write_matrix(path: str, mat: SparseMatrix, header_lines: list[str]) -> None:
                           zip(mat.rows.tolist(), mat.cols.tolist(), text)]))
 
 
-def read_matrix(path: str) -> SparseMatrix:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    n_rows, n_cols, nnz = (int(x) for x in lines[0].split())
-    fields = [ln.split() for ln in lines[1:nnz + 1]]
-    return SparseMatrix.from_triplets(n_rows, n_cols, [int(f[0]) for f in fields],
-                                      [int(f[1]) for f in fields],
-                                      [float(f[2]) for f in fields])
-
-
 def write_names(path: str, names: list[str], header_lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines:

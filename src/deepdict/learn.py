@@ -1,6 +1,5 @@
 """Desk-scale evaluation harness: multinomial naive Bayes, nearest-centroid
-classification, and the representation-invariance check for unregularized
-linear models.
+classification, resampled accuracy, and a seeded labelled corpus.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTraining, DimensionMismatch, InvalidParam
-from .features import SparseMatrix, diffuse
+from .features import SparseMatrix
 
 
 @dataclass
@@ -110,23 +109,6 @@ def centroid_predict(model: CentroidModel, sample_rows: np.ndarray) -> int:
     return model.classes[int(np.argmin(dists))]
 
 
-def invariance_check(top: SparseMatrix, dictionary: SparseMatrix,
-                     beta: np.ndarray) -> float:
-    """Max absolute prediction difference between the diffused-feature model
-    with coefficients beta and the raw-feature model with the transformed
-    coefficients; equals zero for exact arithmetic."""
-    if dictionary.n_rows != dictionary.n_cols:
-        raise DimensionMismatch("dictionary matrix must be square")
-    if top.n_cols != dictionary.n_rows or len(beta) != dictionary.n_rows:
-        raise DimensionMismatch("coefficient length must match feature count")
-    x = top.to_dense()
-    g = dictionary.to_dense()
-    xhat = diffuse(top, dictionary, rho=1.0).to_dense()
-    eye = np.eye(g.shape[0])
-    eta = np.linalg.solve(eye - g, beta)
-    return float(np.max(np.abs(xhat @ beta - x @ eta))) if x.size else 0.0
-
-
 def synthetic_phrase_corpus(n_classes: int = 3, docs_per_class: int = 5,
                             seed: int = 0) -> tuple[list[str], list[int]]:
     """Seeded corpus with planted repeated phrases: each class carries an
@@ -207,9 +189,3 @@ def read_labels(path: str) -> list[int]:
             return [int(word) for word in fh.read().split()]
         except ValueError as exc:  # also an undecodable file
             raise InvalidParam(f"labels must be integers: {exc}") from None
-
-
-def write_labels(path: str, labels: list[int]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for label in labels:
-            fh.write(f"{label}\n")

@@ -12,9 +12,7 @@ solve_lp builds the full program once as compressed sparse columns
 (sparse_program) and solves it in one simplex.run.  The model's pointers
 are int arrays (model.Pointers), so sparse_program lays out every column's
 coverage rows with repeat and arange, and the row count is one count of
-string-kind pointers.  dense_program builds the same program as one dense
-matrix, one Pointer at a time: the reference form that the tests compare
-sparse_program with and solve through simplex.solve.
+string-kind pointers.
 
 Once the dictionary is fixed, the program splits into one interval-cover
 DP per document and per member string.  Each model builds one
@@ -81,19 +79,11 @@ class LPInstance:
 class LPSolution:
     values: np.ndarray
     objective: float
-    status: str
     basis_summary: dict
     instance: LPInstance
 
     def string_value(self, cid: int) -> float:
         return float(self.values[cid])
-
-    def doc_value(self, i: int) -> float:
-        return float(self.values[len(self.instance.model.candidates) + i])
-
-    def dict_value(self, i: int) -> float:
-        model = self.instance.model
-        return float(self.values[len(model.candidates) + len(model.doc_pointers) + i])
 
     def is_integral(self) -> bool:
         v = self.values
@@ -111,94 +101,11 @@ def build_lp(model: ModelInstance, cuts: bool = False) -> LPInstance:
     return LPInstance(model, equivalence_classes(model.candidates).multi_member())
 
 
-def _coverage_rows(model: ModelInstance):
-    """Names of the coverage rows (one per document position, then one per
-    candidate position) and the first row of each document and candidate."""
-    row_meta: list[tuple] = []
-    doc_base = {}
-    dict_base = {}
-    for doc in model.corpus.docs:
-        doc_base[doc.id] = len(row_meta)
-        row_meta.extend(("doc_cov", doc.id, pos) for pos in range(1, len(doc) + 1))
-    for cid in range(len(model.candidates)):
-        dict_base[cid] = len(row_meta)
-        row_meta.extend(("dict_cov", cid, pos)
-                        for pos in range(1, model.candidates.length(cid) + 1))
-    return row_meta, doc_base, dict_base
-
-
-def _pointer_column(model: ModelInstance, doc_base: dict[int, int],
-                    dict_base: dict[int, int], i: int, is_doc: bool):
-    """Document (is_doc) or dictionary pointer i as a column: the coverage
-    rows [start, stop) it fills, its cost, and the string whose membership
-    bounds it through its linking row (None when it has no linking row)."""
-    if is_doc:
-        ptr = model.doc_pointers[i]
-        start = doc_base[ptr.target] + ptr.location - 1
-        cost = model.costs.doc_costs[i]
-        source = ptr.source
-    else:
-        ptr = model.dict_pointers[i]
-        start = dict_base[ptr.target] + ptr.location - 1
-        cost = model.costs.dict_costs[i]
-        source = model.needs[1][i]
-    return start, start + model.candidates.length(ptr.source), cost, source
-
-
-def dense_program(lp: LPInstance, pinned: dict[int, float] | None = None
-                  ) -> tuple[simplex.LinearProgram, list[tuple]]:
-    """The full program as one dense (rows, variables) matrix, and the name
-    of each row: ("doc_cov", doc, pos), ("dict_cov", cid, pos),
-    ("link_doc", i), ("link_dict", i) or ("cut", members).  pinned fixes
-    membership variables (lower = upper = value).  This is the reference
-    form for simplex.solve and for sparse_program; its matrix grows as
-    rows x variables, so the compression path never builds it."""
-    model = lp.model
-    cands = model.candidates
-    n_strings = len(cands)
-    row_meta, doc_base, dict_base = _coverage_rows(model)
-    n_cov = len(row_meta)
-    pointers = ([(i, True) for i in range(len(model.doc_pointers))]
-                + [(i, False) for i in range(len(model.dict_pointers))])
-    columns = [_pointer_column(model, doc_base, dict_base, i, is_doc)
-               for i, is_doc in pointers]
-    links = []
-    for c, ((i, is_doc), (_, _, _, source)) in enumerate(zip(pointers, columns)):
-        if source is not None:
-            row_meta.append(("link_doc" if is_doc else "link_dict", i))
-            links.append((n_strings + c, source))
-    row_meta.extend(("cut", tuple(members)) for members in lp.cut_members)
-
-    n = n_strings + len(pointers)
-    rows = np.zeros((len(row_meta), n))
-    for cid in range(n_strings):
-        base = dict_base[cid]
-        rows[base: base + cands.length(cid), cid] = -1.0
-    for c, (start, stop, _, _) in enumerate(columns):
-        rows[start:stop, n_strings + c] = 1.0
-    for r, (col, source) in enumerate(links, n_cov):
-        rows[r, col] = 1.0
-        rows[r, source] = -1.0
-    for r, members in enumerate(lp.cut_members, n_cov + len(links)):
-        rows[r, members] = 1.0
-    kinds = [meta[0] for meta in row_meta]
-    senses = np.array([simplex.GE if kind.endswith("_cov") else simplex.LE
-                       for kind in kinds], dtype=int)
-    rhs = np.array([1.0 if kind in ("doc_cov", "cut") else 0.0 for kind in kinds])
-    objective = np.array(model.costs.string_costs + [col[2] for col in columns],
-                         dtype=float)
-    program = simplex.LinearProgram(objective, rows, senses, rhs,
-                                    np.zeros(n), np.ones(n))
-    for cid, value in (pinned or {}).items():
-        program.lower[cid] = program.upper[cid] = value
-    return program, row_meta
-
-
 def sparse_program(lp: LPInstance) -> simplex.SparseProgram:
-    """The full program as CSC arrays, with the rows and variables of
-    dense_program in the same order: coverage rows (document positions
-    >= 1, candidate positions >= 0), one linking row (<= 0) per pointer
-    with a source string, in pointer order, then the cut rows (<= 1).
+    """The full program as CSC arrays.  Variables are in n_vars order;
+    rows are the coverage rows (document positions >= 1, candidate
+    positions >= 0), one linking row (<= 0) per pointer with a source
+    string, in pointer order, then the cut rows (<= 1).
     Each column's coverage entries are one run of rows, laid out with
     repeat and arange from the column's first row and length."""
     model = lp.model
@@ -268,8 +175,7 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     result = simplex.run(sparse_program(lp))
     if result.status != "optimal":
         raise NumericalFailure(f"the relaxation came back {result.status}")
-    return LPSolution(result.x, result.objective, "optimal",
-                      {"iterations": result.iterations}, lp)
+    return LPSolution(result.x, result.objective, {"iterations": result.iterations}, lp)
 
 
 @dataclass(frozen=True)

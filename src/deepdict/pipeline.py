@@ -17,8 +17,8 @@ from .errors import InvalidParam
 from .features import stats
 from .lp import (EXACT_LIMIT, Compression, LPSolution, build_lp, compression_errors,
                  exact_solve, price, round_to_compression, solve_lp)
-from .model import (CHAR_CODE, CONSTANT_DICT_COST, ModelInstance,
-                    bon_landmark_costs, build_model, build_pointers, character_only)
+from .model import (CONSTANT_DICT_COST, ModelInstance, bon_landmark_costs, build_model,
+                    build_pointers, character_only)
 
 
 @dataclass
@@ -222,16 +222,3 @@ def path_sweep(corpus: Corpus, job: CompressJob, lam_grid: list[float]) -> PathR
             segments.append(PathSegment(lam, lam, [lam], [objectives[-1]], fp,
                                         report.dict_size, report.mnl))
     return PathResult(segments, list(lam_grid), objectives, mnls, fingerprints)
-
-
-def alpha_depth_check(corpus: Corpus, job: CompressJob, alpha: float,
-                      k_check: int) -> bool:
-    """True when, in the rounded compression at the given alpha, every
-    dictionary string of length <= k_check is built purely from character
-    slots."""
-    if alpha >= 1.0 / k_check:
-        raise InvalidParam("requires alpha < 1/k_check")
-    comp, _, model = compress(replace(job, corpus=corpus, alpha=alpha))
-    ptrs = comp.dict_pointers
-    short = model.candidates.lengths[ptrs.target] <= k_check
-    return not (short & (ptrs.kind != CHAR_CODE)).any()

@@ -3,17 +3,12 @@ Math. Prog. Comp. 2018), whose compiled core ships inside scipy.
 
 run() solves   min c.x   s.t.   row_lower <= A x <= row_upper,
 lower <= x <= upper,   with A given as compressed sparse columns
-(SparseProgram); lp.solve_lp builds those arrays straight from the model.
-solve() takes a dense LinearProgram, whose rows carry a sense (<=, =, >=)
-and a right-hand side, feeds it to run() as the same arrays, and checks
-the optimum against the dense rows.
+(SparseProgram); lp.solve_lp builds those arrays straight from the model,
+and csc() lays out any (row, col, value) entries in that form.
 
 Every solve uses the fixed HIGHS_OPTIONS.  The HiGHS statuses optimal,
 infeasible and unbounded are returned as such; any other status (an
 iteration limit, a solver error) raises NumericalFailure.
-
-Tolerance: feasibility 1e-7, checked by solve() on the final solution; a
-breach raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -29,10 +24,6 @@ import numpy as np
 
 from .errors import NumericalFailure
 
-LE, EQ, GE = -1, 0, 1
-
-FEAS_TOL = 1e-7
-
 # Fixed for every solve, never a flag or a parameter.  One thread starts no
 # worker pool, so the pivot sequence (and lp_iterations in report.txt) does
 # not depend on the host.  Presolve is off because the rounded compression
@@ -45,16 +36,6 @@ HIGHS_OPTIONS = {"output_flag": False, "threads": 1, "presolve": "off"}
 _CORE = "scipy.optimize._highspy._core"
 _STATUSES = {"kOptimal": "optimal", "kInfeasible": "infeasible",
              "kUnbounded": "unbounded"}
-
-
-@dataclass
-class LinearProgram:
-    objective: np.ndarray
-    rows: np.ndarray  # dense (m, n); may be empty with shape (0, n)
-    senses: np.ndarray  # (m,) values in {LE, EQ, GE}
-    rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
 
 @dataclass
@@ -155,35 +136,3 @@ def run(program: SparseProgram) -> SimplexResult:
     x = np.array(highs.getSolution().col_value, dtype=float)
     return SimplexResult("optimal", x, float(program.cost @ x), iterations)
 
-
-def solve(lp: LinearProgram) -> SimplexResult:
-    """Solve a dense program through run(), then check the optimum against
-    its dense rows."""
-    rows = np.asarray(lp.rows, dtype=float)
-    rhs = np.asarray(lp.rhs, dtype=float)
-    senses = np.asarray(lp.senses)
-    row_idx, col_idx = np.nonzero(rows)
-    start, index, value = csc(rows.shape[1], row_idx, col_idx, rows[row_idx, col_idx])
-    result = run(SparseProgram(
-        np.asarray(lp.objective, dtype=float), np.asarray(lp.lower, dtype=float),
-        np.asarray(lp.upper, dtype=float), np.where(senses == LE, -np.inf, rhs),
-        np.where(senses == GE, np.inf, rhs), start, index, value))
-    if result.status == "optimal":
-        _verify(lp, result.x)
-    return result
-
-
-def _verify(lp: LinearProgram, x: np.ndarray) -> None:
-    if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
-        raise NumericalFailure("solution violates variable bounds")
-    if lp.rows.shape[0]:
-        ax = lp.rows @ x
-        le = lp.senses == LE
-        ge = lp.senses == GE
-        eq = lp.senses == EQ
-        if np.any(ax[le] > lp.rhs[le] + FEAS_TOL):
-            raise NumericalFailure("solution violates a <= row beyond tolerance")
-        if np.any(ax[ge] < lp.rhs[ge] - FEAS_TOL):
-            raise NumericalFailure("solution violates a >= row beyond tolerance")
-        if np.any(np.abs(ax[eq] - lp.rhs[eq]) > FEAS_TOL):
-            raise NumericalFailure("solution violates an = row beyond tolerance")

@@ -1,9 +1,28 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent oracles and reference forms used to pin expected values.
 
-Everything here works on raw text and plain tuples, separately from the
-package's candidate scan, DP, and LP machinery, so the two sides can be
+The brute-force oracles work on raw text and plain tuples, separately from
+the package's candidate scan, DP, and LP machinery, so the two sides can be
 cross-checked against each other.  entries and same_entries read a
 feature matrix's coordinate arrays back as plain values.
+
+The reference checks below are what the tests compare the program with;
+the package itself never runs them:
+- LinearProgram and solve_dense: a dense program whose rows carry a sense
+  (<=, =, >=) and a right-hand side, solved through simplex.run as the
+  same CSC arrays and checked against its dense rows (feasibility 1e-7; a
+  breach raises NumericalFailure).
+- dense_program: the full compression LP as one dense matrix, built one
+  Pointer at a time, in sparse_program's row and column order.
+- solve_fractional: a reconstruction instance's covering LP, with demand
+  v in [0, 1] and per-interval upper bounds.
+- to_flow and solve_flow: the same instance as a min-cost flow over
+  position nodes, solved as an LP over the node balance rows.
+- invariance_check: the paper's claim that an unregularized linear model
+  predicts the same on diffused and on raw features.
+- alpha_depth_check: at alpha < 1/k, every dictionary string of length
+  <= k is built from character slots alone.
+- write_corpus, read_matrix and write_labels: the file formats read back
+  or written the other way round.
 """
 
 from __future__ import annotations
@@ -11,8 +30,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from deepdict import simplex
+from deepdict.corpus import Corpus
+from deepdict.errors import DimensionMismatch, Infeasible, InvalidParam, NumericalFailure
+from deepdict.features import SparseMatrix, diffuse
+from deepdict.lp import LPInstance
+from deepdict.model import CHAR_CODE, ModelInstance
+from deepdict.pipeline import CompressJob, compress
+from deepdict.recon import ReconInstance
 
 
 def split_symbols(text: str, mode: str = "char") -> list[str]:
@@ -240,3 +269,311 @@ def labelled_ladder(n_docs: int, seed: int, rate: float) -> tuple[list[str], lis
         texts.append("".join(words))
         labels.append(k % 3)
     return texts, labels
+
+
+LE, EQ, GE = -1, 0, 1
+
+FEAS_TOL = 1e-7
+
+
+@dataclass
+class LinearProgram:
+    objective: np.ndarray
+    rows: np.ndarray  # dense (m, n); may be empty with shape (0, n)
+    senses: np.ndarray  # (m,) values in {LE, EQ, GE}
+    rhs: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def solve_dense(lp: LinearProgram) -> simplex.SimplexResult:
+    """Solve a dense program through simplex.run, then check the optimum
+    against its dense rows."""
+    rows = np.asarray(lp.rows, dtype=float)
+    rhs = np.asarray(lp.rhs, dtype=float)
+    senses = np.asarray(lp.senses)
+    row_idx, col_idx = np.nonzero(rows)
+    start, index, value = simplex.csc(rows.shape[1], row_idx, col_idx,
+                                      rows[row_idx, col_idx])
+    result = simplex.run(simplex.SparseProgram(
+        np.asarray(lp.objective, dtype=float), np.asarray(lp.lower, dtype=float),
+        np.asarray(lp.upper, dtype=float), np.where(senses == LE, -np.inf, rhs),
+        np.where(senses == GE, np.inf, rhs), start, index, value))
+    if result.status == "optimal":
+        _verify(lp, result.x)
+    return result
+
+
+def _verify(lp: LinearProgram, x: np.ndarray) -> None:
+    if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
+        raise NumericalFailure("solution violates variable bounds")
+    if lp.rows.shape[0]:
+        ax = lp.rows @ x
+        le = lp.senses == LE
+        ge = lp.senses == GE
+        eq = lp.senses == EQ
+        if np.any(ax[le] > lp.rhs[le] + FEAS_TOL):
+            raise NumericalFailure("solution violates a <= row beyond tolerance")
+        if np.any(ax[ge] < lp.rhs[ge] - FEAS_TOL):
+            raise NumericalFailure("solution violates a >= row beyond tolerance")
+        if np.any(np.abs(ax[eq] - lp.rhs[eq]) > FEAS_TOL):
+            raise NumericalFailure("solution violates an = row beyond tolerance")
+
+
+def _coverage_rows(model: ModelInstance):
+    """Names of the coverage rows (one per document position, then one per
+    candidate position) and the first row of each document and candidate."""
+    row_meta: list[tuple] = []
+    doc_base = {}
+    dict_base = {}
+    for doc in model.corpus.docs:
+        doc_base[doc.id] = len(row_meta)
+        row_meta.extend(("doc_cov", doc.id, pos) for pos in range(1, len(doc) + 1))
+    for cid in range(len(model.candidates)):
+        dict_base[cid] = len(row_meta)
+        row_meta.extend(("dict_cov", cid, pos)
+                        for pos in range(1, model.candidates.length(cid) + 1))
+    return row_meta, doc_base, dict_base
+
+
+def _pointer_column(model: ModelInstance, doc_base: dict[int, int],
+                    dict_base: dict[int, int], i: int, is_doc: bool):
+    """Document (is_doc) or dictionary pointer i as a column: the coverage
+    rows [start, stop) it fills, its cost, and the string whose membership
+    bounds it through its linking row (None when it has no linking row)."""
+    if is_doc:
+        ptr = model.doc_pointers[i]
+        start = doc_base[ptr.target] + ptr.location - 1
+        cost = model.costs.doc_costs[i]
+        source = ptr.source
+    else:
+        ptr = model.dict_pointers[i]
+        start = dict_base[ptr.target] + ptr.location - 1
+        cost = model.costs.dict_costs[i]
+        source = model.needs[1][i]
+    return start, start + model.candidates.length(ptr.source), cost, source
+
+
+def dense_program(lp: LPInstance, pinned: dict[int, float] | None = None
+                  ) -> tuple[LinearProgram, list[tuple]]:
+    """The full program as one dense (rows, variables) matrix, and the name
+    of each row: ("doc_cov", doc, pos), ("dict_cov", cid, pos),
+    ("link_doc", i), ("link_dict", i) or ("cut", members).  pinned fixes
+    membership variables (lower = upper = value).  This is the reference
+    form for solve_dense and for sparse_program; its matrix grows as
+    rows x variables, so the compression path never builds it."""
+    model = lp.model
+    cands = model.candidates
+    n_strings = len(cands)
+    row_meta, doc_base, dict_base = _coverage_rows(model)
+    n_cov = len(row_meta)
+    pointers = ([(i, True) for i in range(len(model.doc_pointers))]
+                + [(i, False) for i in range(len(model.dict_pointers))])
+    columns = [_pointer_column(model, doc_base, dict_base, i, is_doc)
+               for i, is_doc in pointers]
+    links = []
+    for c, ((i, is_doc), (_, _, _, source)) in enumerate(zip(pointers, columns)):
+        if source is not None:
+            row_meta.append(("link_doc" if is_doc else "link_dict", i))
+            links.append((n_strings + c, source))
+    row_meta.extend(("cut", tuple(members)) for members in lp.cut_members)
+
+    n = n_strings + len(pointers)
+    rows = np.zeros((len(row_meta), n))
+    for cid in range(n_strings):
+        base = dict_base[cid]
+        rows[base: base + cands.length(cid), cid] = -1.0
+    for c, (start, stop, _, _) in enumerate(columns):
+        rows[start:stop, n_strings + c] = 1.0
+    for r, (col, source) in enumerate(links, n_cov):
+        rows[r, col] = 1.0
+        rows[r, source] = -1.0
+    for r, members in enumerate(lp.cut_members, n_cov + len(links)):
+        rows[r, members] = 1.0
+    kinds = [meta[0] for meta in row_meta]
+    senses = np.array([GE if kind.endswith("_cov") else LE for kind in kinds], dtype=int)
+    rhs = np.array([1.0 if kind in ("doc_cov", "cut") else 0.0 for kind in kinds])
+    objective = np.array(model.costs.string_costs + [col[2] for col in columns],
+                         dtype=float)
+    program = LinearProgram(objective, rows, senses, rhs, np.zeros(n), np.ones(n))
+    for cid, value in (pinned or {}).items():
+        program.lower[cid] = program.upper[cid] = value
+    return program, row_meta
+
+
+def _interval_bounds(instance: ReconInstance, demand: float,
+                     bounds: list[float] | None) -> list[float]:
+    """The per-interval upper bounds (default 1), after checking that the
+    demand lies in [0, 1] and the bounds align with the intervals."""
+    if not 0.0 <= demand <= 1.0:
+        raise InvalidParam("demand must lie in [0, 1]")
+    if bounds is None:
+        return [1.0] * len(instance.intervals)
+    if len(bounds) != len(instance.intervals):
+        raise InvalidParam("bounds must align with intervals")
+    return bounds
+
+
+def solve_fractional(instance: ReconInstance, demand: float = 1.0,
+                     bounds: list[float] | None = None) -> tuple[float, list[float]]:
+    """LP relaxation of the covering problem: every position must receive
+    total weight >= demand, weights respect the per-interval bounds."""
+    n = len(instance.target)
+    k = len(instance.intervals)
+    bounds = _interval_bounds(instance, demand, bounds)
+    if any(not 0.0 <= b <= 1.0 for b in bounds):
+        raise InvalidParam("interval bounds must lie in [0, 1]")
+    if demand == 0.0:
+        return 0.0, [0.0] * k
+    rows = np.zeros((n, k))
+    for idx, iv in enumerate(instance.intervals):
+        rows[iv.start - 1:iv.end, idx] = 1.0
+    lp = LinearProgram(
+        objective=np.array([iv.cost for iv in instance.intervals], dtype=float),
+        rows=rows,
+        senses=np.full(n, GE),
+        rhs=np.full(n, demand),
+        lower=np.zeros(k),
+        upper=np.array(bounds, dtype=float),
+    )
+    result = solve_dense(lp)
+    if result.status == "infeasible":
+        raise Infeasible("fractional cover does not exist")
+    if result.status != "optimal":
+        raise InvalidParam("covering LP must be bounded; got " + result.status)
+    return result.objective, list(result.x)
+
+
+POINTER_ARC = "pointer"
+SLACK_ARC = "slack"
+
+
+@dataclass(frozen=True)
+class Arc:
+    tail: int  # node ids: 1..n are positions, n+1 is the end node
+    head: int
+    cost: float
+    upper: float
+    kind: str
+    ref: int  # interval index for pointer arcs, position for slack arcs
+
+
+@dataclass
+class FlowInstance:
+    """Min-cost-flow form of a reconstruction: pointer arcs jump forward
+    from their start position to one past their end, unit slack arcs run
+    backward, and the demand enters at position 1.  The position-node rows
+    of the incidence matrix reproduce the difference-transformed covering
+    constraints exactly."""
+
+    n_positions: int
+    arcs: list[Arc]
+    demand: float
+    pointer_arcs: list[int] = field(default_factory=list)  # arc indices
+    slack_arcs: list[int] = field(default_factory=list)
+
+    def incidence(self) -> np.ndarray:
+        """Rows = position nodes 1..n (the end node row is omitted, which
+        is the source/sink completion)."""
+        n = self.n_positions
+        mat = np.zeros((n, len(self.arcs)))
+        for j, arc in enumerate(self.arcs):
+            if arc.tail <= n:
+                mat[arc.tail - 1, j] += 1.0
+            if arc.head <= n:
+                mat[arc.head - 1, j] -= 1.0
+        return mat
+
+
+def to_flow(instance: ReconInstance, demand: float = 1.0,
+            bounds: list[float] | None = None) -> FlowInstance:
+    n = len(instance.target)
+    bounds = _interval_bounds(instance, demand, bounds)
+    arcs: list[Arc] = []
+    pointer_arcs = []
+    for idx, iv in enumerate(instance.intervals):
+        arcs.append(Arc(iv.start, iv.end + 1, iv.cost, bounds[idx], POINTER_ARC, idx))
+        pointer_arcs.append(len(arcs) - 1)
+    slack_arcs = []
+    for pos in range(1, n + 1):
+        arcs.append(Arc(pos + 1, pos, 0.0, math.inf, SLACK_ARC, pos))
+        slack_arcs.append(len(arcs) - 1)
+    return FlowInstance(n, arcs, demand, pointer_arcs, slack_arcs)
+
+
+def solve_flow(flow: FlowInstance) -> tuple[float, list[float]]:
+    """Solve the flow form as an LP over the position-node balance rows;
+    returns (optimal cost, pointer arc flows)."""
+    n = flow.n_positions
+    mat = flow.incidence()
+    rhs = np.zeros(n)
+    rhs[0] = flow.demand
+    upper = np.array([a.upper for a in flow.arcs])
+    lp = LinearProgram(
+        objective=np.array([a.cost for a in flow.arcs], dtype=float),
+        rows=mat,
+        senses=np.full(n, EQ),
+        rhs=rhs,
+        lower=np.zeros(len(flow.arcs)),
+        upper=upper,
+    )
+    result = solve_dense(lp)
+    if result.status == "infeasible":
+        raise Infeasible("flow instance admits no feasible flow")
+    if result.status != "optimal":
+        raise InvalidParam("flow LP must be bounded; got " + result.status)
+    weights = [result.x[j] for j in flow.pointer_arcs]
+    return result.objective, weights
+
+
+def invariance_check(top: SparseMatrix, dictionary: SparseMatrix,
+                     beta: np.ndarray) -> float:
+    """Max absolute prediction difference between the diffused-feature model
+    with coefficients beta and the raw-feature model with the transformed
+    coefficients; equals zero for exact arithmetic."""
+    if dictionary.n_rows != dictionary.n_cols:
+        raise DimensionMismatch("dictionary matrix must be square")
+    if top.n_cols != dictionary.n_rows or len(beta) != dictionary.n_rows:
+        raise DimensionMismatch("coefficient length must match feature count")
+    x = top.to_dense()
+    g = dictionary.to_dense()
+    xhat = diffuse(top, dictionary, rho=1.0).to_dense()
+    eye = np.eye(g.shape[0])
+    eta = np.linalg.solve(eye - g, beta)
+    return float(np.max(np.abs(xhat @ beta - x @ eta))) if x.size else 0.0
+
+
+def alpha_depth_check(corpus: Corpus, job: CompressJob, alpha: float,
+                      k_check: int) -> bool:
+    """True when, in the rounded compression at the given alpha, every
+    dictionary string of length <= k_check is built purely from character
+    slots."""
+    if alpha >= 1.0 / k_check:
+        raise InvalidParam("requires alpha < 1/k_check")
+    comp, _, model = compress(replace(job, corpus=corpus, alpha=alpha))
+    ptrs = comp.dict_pointers
+    short = model.candidates.lengths[ptrs.target] <= k_check
+    return not (short & (ptrs.kind != CHAR_CODE)).any()
+
+
+def write_corpus(corpus: Corpus, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in corpus.docs:
+            fh.write(corpus.doc_text(doc.id))
+            fh.write("\n")
+
+
+def read_matrix(path: str) -> SparseMatrix:
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
+    n_rows, n_cols, nnz = (int(x) for x in lines[0].split())
+    fields = [ln.split() for ln in lines[1:nnz + 1]]
+    return SparseMatrix.from_triplets(n_rows, n_cols, [int(f[0]) for f in fields],
+                                      [int(f[1]) for f in fields],
+                                      [float(f[2]) for f in fields])
+
+
+def write_labels(path: str, labels: list[int]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for label in labels:
+            fh.write(f"{label}\n")

@@ -10,17 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from deepdict import simplex
 from deepdict.corpus import CHAR, enumerate_candidates, equivalence_classes, ingest
 from deepdict.features import dict_matrix, diffuse, feature_space, top_features
-from deepdict.learn import (LabeledMatrix, accuracy_over_resamples,
-                            invariance_check, synthetic_phrase_corpus)
-from deepdict.lp import build_lp, dense_program, exact_solve, solve_lp
+from deepdict.learn import LabeledMatrix, accuracy_over_resamples, synthetic_phrase_corpus
+from deepdict.lp import build_lp, exact_solve, solve_lp
 from deepdict.model import DICT_CHAR, build_model
 from deepdict.pipeline import CompressJob, bon_compress, compress, path_sweep
-from deepdict.recon import Interval, ReconInstance, solve_dp, solve_flow, solve_fractional, to_flow
+from deepdict.recon import Interval, ReconInstance, solve_dp
 
-from oracles import bon_counts, naive_exact, same_entries
+from oracles import (alpha_depth_check, bon_counts, dense_program, invariance_check,
+                     naive_exact, same_entries, solve_dense, solve_flow, solve_fractional,
+                     to_flow)
 
 
 def verdict(number, name, ok, detail):
@@ -125,7 +125,7 @@ def test_criterion_3_integrality_and_flow_agreement():
         fixed = {cid: (1.0 if candidates.length(cid) == 1 or rng.random() < 0.5
                        else 0.0) for cid in range(len(candidates))}
         program, _ = dense_program(build_lp(model), pinned=fixed)
-        result = simplex.solve(program)
+        result = solve_dense(program)
         assert result.status == "optimal"
         snapped = np.round(result.x)
         assert np.max(np.abs(result.x - snapped)) <= 1e-6
@@ -262,8 +262,6 @@ def test_criterion_7_path_behavior():
 
 
 def test_criterion_8_alpha_depth_rule():
-    from deepdict.pipeline import alpha_depth_check
-
     rng = random.Random(88)
     k_check = 4
     alpha = 0.2

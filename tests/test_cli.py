@@ -7,10 +7,9 @@ import sys
 import pytest
 
 from deepdict import cli, simplex
-from deepdict.features import read_matrix
 from deepdict.pipeline import PathResult
 
-from oracles import bon_counts, labelled_ladder, ladder_texts, same_entries
+from oracles import bon_counts, labelled_ladder, ladder_texts, read_matrix, same_entries
 
 
 def write_corpus_file(tmp_path, name, lines):
@@ -367,6 +366,8 @@ def test_eval_label_mismatch_exits_2(tmp_path):
     (["eval", "--resamples", "-1", "--max-len", "3", "--bon", "2"], 2, "at least one resample"),
     # the landmark is assembled without a solve, so it has no relaxation to export
     (["features", "{docs}", "--bon", "2", "--fractional"], 1, "usage error"),
+    (["path", "{docs}", "--grid", "nan"], 1, "usage error"),
+    (["path", "{docs}", "--grid", "1,inf"], 1, "usage error"),
 ])
 def test_bad_values_end_with_documented_code(tmp_path, capsys, argv, code, message):
     paths = {"docs": write_corpus_file(tmp_path, "docs.txt", ["abab", "baba"]),

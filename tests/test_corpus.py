@@ -3,10 +3,10 @@ import random
 import pytest
 
 from deepdict.corpus import (CHAR, TOKEN, enumerate_candidates, equivalence_classes,
-                             ingest, read_corpus, write_corpus)
+                             ingest, read_corpus)
 from deepdict.errors import EmptyCorpus, EmptyDocument, InvalidParam
 
-from oracles import brute_candidates, follower_classes, split_symbols
+from oracles import brute_candidates, follower_classes, split_symbols, write_corpus
 
 
 def cand_texts(corpus, candidates):
@@ -183,12 +183,13 @@ def test_class_members_are_nested_right_extensions():
 
 
 def test_corpus_roundtrip_through_file(tmp_path):
-    texts = ["abcab", "bca"]
-    corpus = ingest(texts, CHAR)
-    path = tmp_path / "corpus.txt"
-    write_corpus(corpus, str(path))
-    again = read_corpus(str(path), CHAR)
-    assert again == corpus
+    # a form feed and U+2028 are line breaks to str.splitlines, not to a file
+    for texts in (["abcab", "bca"], ["aab\faab", "abab\u2028ab"]):
+        corpus = ingest(texts, CHAR)
+        path = tmp_path / "corpus.txt"
+        write_corpus(corpus, str(path))
+        again = read_corpus(str(path), CHAR)
+        assert again == corpus
 
 
 def test_corpus_roundtrip_token_mode(tmp_path):

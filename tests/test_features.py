@@ -6,13 +6,14 @@ import pytest
 from deepdict.corpus import CHAR, enumerate_candidates, ingest
 from deepdict.errors import DimensionMismatch, InvalidParam
 from deepdict.features import (SparseMatrix, dag_export, dict_matrix, diffuse,
-                               feature_space, fractional_features, read_matrix, stats,
-                               top_features, write_dag, write_matrix, write_names)
+                               feature_space, fractional_features, stats, top_features,
+                               write_dag, write_matrix, write_names)
 from deepdict.lp import Compression, build_lp, compression_errors, solve_lp
 from deepdict.model import DICT_CHAR, DICT_STRING, DOCUMENT, Pointer, Pointers, build_model
 from deepdict.pipeline import CompressJob, bon_compress, build_job_model, compress
 
-from oracles import bon_counts, entries, labelled_ladder, random_corpus, same_entries
+from oracles import (bon_counts, entries, labelled_ladder, random_corpus, read_matrix,
+                     same_entries)
 
 
 def nested_example():
@@ -338,8 +339,9 @@ def test_fractional_export_from_lp_solution():
     assert len(space.string_ids) == len(weights)
     assert all(0 < w <= 1 for w in weights)
     # document rows reproduce the pointer weights exactly
-    total = sum(solution.doc_value(i) for i in range(len(model.doc_pointers))
-                if solution.doc_value(i) > 1e-6)
+    n_strings = len(model.candidates)
+    doc_values = solution.values[n_strings:n_strings + len(model.doc_pointers)].tolist()
+    total = sum(v for v in doc_values if v > 1e-6)
     assert sum(x.values.tolist()) == pytest.approx(total)
     assert all(v > 0 for v in x.values.tolist())
     # the weighted diffusion runs on the fractional matrices

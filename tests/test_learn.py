@@ -7,11 +7,11 @@ from deepdict.corpus import CHAR, ingest
 from deepdict.errors import DegenerateTraining, DimensionMismatch
 from deepdict.features import SparseMatrix, dict_matrix, feature_space, top_features
 from deepdict.learn import (LabeledMatrix, accuracy_over_resamples, centroid_predict,
-                            centroid_train, invariance_check, nb_predict, nb_train,
-                            read_labels, synthetic_phrase_corpus, write_labels)
+                            centroid_train, nb_predict, nb_train, read_labels,
+                            synthetic_phrase_corpus)
 from deepdict.pipeline import CompressJob, bon_compress, compress
 
-from oracles import labelled_ladder
+from oracles import invariance_check, labelled_ladder, write_labels
 
 
 def matrix(rows):

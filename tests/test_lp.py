@@ -6,18 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deepdict import lp, simplex
+from deepdict import lp
 from deepdict.corpus import CHAR, enumerate_candidates, equivalence_classes, ingest
 from deepdict.errors import Infeasible, InvalidParam, TooLarge
-from deepdict.lp import (build_lp, check_coverable, compression_errors, dense_program,
-                         exact_solve, prune_descent, round_to_compression,
-                         solve_lp, sparse_program)
+from deepdict.lp import (build_lp, check_coverable, compression_errors, exact_solve,
+                         prune_descent, round_to_compression, solve_lp, sparse_program)
 from deepdict.model import (DICT_CHAR, DICT_STRING, DOCUMENT, Pointer, build_model,
                             character_only)
 from deepdict.pipeline import CompressJob, compress
 from deepdict.recon import Interval, ReconInstance, ReconResult, solve_dp
 
-from oracles import ladder_texts, naive_exact, pointer_is_valid
+from oracles import (GE, LE, dense_program, ladder_texts, naive_exact, pointer_is_valid,
+                     solve_dense)
 
 SNAP = 1e-6
 
@@ -149,9 +149,9 @@ def test_sparse_program_matches_dense_reference(seed):
                 matrix[rows, j] = sparse.value[sparse.start[j]:sparse.start[j + 1]]
             np.testing.assert_array_equal(matrix, dense.rows)
             np.testing.assert_array_equal(
-                sparse.row_lower, np.where(dense.senses == simplex.LE, -np.inf, dense.rhs))
+                sparse.row_lower, np.where(dense.senses == LE, -np.inf, dense.rhs))
             np.testing.assert_array_equal(
-                sparse.row_upper, np.where(dense.senses == simplex.GE, np.inf, dense.rhs))
+                sparse.row_upper, np.where(dense.senses == GE, np.inf, dense.rhs))
             np.testing.assert_array_equal(sparse.cost, dense.objective)
             np.testing.assert_array_equal(sparse.lower, dense.lower)
             np.testing.assert_array_equal(sparse.upper, dense.upper)
@@ -169,7 +169,7 @@ def test_solve_lp_matches_dense_reference(n_docs, length):
     model = model_for(texts, 4, 1)
     for cuts in (False, True):
         lp = build_lp(model, cuts=cuts)
-        reference = simplex.solve(dense_program(lp)[0])
+        reference = solve_dense(dense_program(lp)[0])
         assert reference.status == "optimal"
         assert solve_lp(lp).objective == pytest.approx(reference.objective, abs=1e-7)
 
@@ -304,7 +304,7 @@ def test_fixed_binary_membership_gives_integral_solution():
             if keep:
                 members.add(cid)
         program, _ = dense_program(build_lp(model), pinned=fixed)
-        result = simplex.solve(program)
+        result = solve_dense(program)
         assert result.status == "optimal"
         snapped = np.round(result.x)
         assert np.max(np.abs(result.x - snapped)) <= SNAP

@@ -9,10 +9,9 @@ from deepdict.errors import InvalidParam
 from deepdict.lp import (build_lp, compression_errors, exact_solve, round_to_compression,
                          solve_lp)
 from deepdict.model import DICT_CHAR, build_model
-from deepdict.pipeline import (CompressJob, alpha_depth_check, bon_compress,
-                               compress, path_sweep)
+from deepdict.pipeline import CompressJob, bon_compress, compress, path_sweep
 
-from oracles import bon_counts, labelled_ladder, ladder_texts
+from oracles import alpha_depth_check, bon_counts, labelled_ladder, ladder_texts
 
 
 def job_for(texts, **kwargs):

