@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Commands: compress, features, path, eval, oracle, stats, recon.  Outputs are
-plain structured text or JSON documents; every file starts with a header
-embedding the artifact version and the run configuration, and identical
-configurations produce byte-identical outputs.
+Commands: compress, features, path, eval, oracle, stats, recon.  A command
+takes only the options it reads: recon the corpus options, oracle also the
+costs, stats also --cuts and --exact, the others also --out and --seed.
+Every output file starts with a header holding the version and the run
+configuration; identical configurations give byte-identical files.
 
 Exit codes: 0 success, 1 usage, 2 infeasible or data error, 3 numerical
 failure.
@@ -16,15 +17,17 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__, learn
 from .corpus import CHAR, ingest, read_corpus
-from .errors import DeepdictError, DimensionMismatch, NumericalFailure
+from .errors import DeepdictError, DimensionMismatch, InvalidParam, NumericalFailure
 from .features import (dag_export, dict_matrix, diffuse, feature_space,
                        fractional_features, stats, top_features, write_dag,
                        write_matrix, write_names)
 from .lp import EXACT_LIMIT, build_lp, exact_solve, solve_lp
 from .pipeline import CompressJob, bon_compress, build_job_model, compress, path_sweep
+from .recon import solve_dp
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -51,20 +54,32 @@ def _grid(text: str) -> str:
     return text
 
 
-def _add_common(p: _Parser) -> None:
+def _add_corpus(p: _Parser) -> None:
     p.add_argument("input", help="corpus file (one document per line) or directory")
     p.add_argument("--mode", choices=["char", "token"], default="char")
     p.add_argument("--max-len", type=int, default=4, dest="max_len")
     p.add_argument("--min-count", type=int, default=2, dest="min_count")
+
+
+def _add_costs(p: _Parser) -> None:
+    _add_corpus(p)
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--lambda", type=float, default=1.0, dest="lam")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--cuts", action="store_true")
     p.add_argument("--cfl", action="store_true")
     p.add_argument("--dict-cost", choices=["constant", "length"],
                    default="constant", dest="dict_cost")
+
+
+def _add_solve(p: _Parser) -> None:
+    _add_costs(p)
+    p.add_argument("--cuts", action="store_true")
     p.add_argument("--exact", action="store_true",
                    help="use the exhaustive oracle when small enough")
+
+
+def _add_common(p: _Parser) -> None:
+    _add_solve(p)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=0)
 
@@ -111,15 +126,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("oracle", help="exhaustive binary optimum on a tiny corpus")
-    _add_common(p)
+    _add_costs(p)
     p.add_argument("--limit", type=int, default=EXACT_LIMIT)
 
     p = sub.add_parser("stats", help="compress and print summary statistics")
-    _add_common(p)
+    _add_solve(p)
 
     p = sub.add_parser("recon", help="dump one document's covering instance "
                                      "and its cheapest cover (debug aid)")
-    _add_common(p)
+    _add_corpus(p)
     p.add_argument("--doc", type=int, default=0)
     return parser
 
@@ -130,11 +145,15 @@ def _config_header(args: argparse.Namespace, command: str) -> list[str]:
             "config: " + json.dumps(cfg, sort_keys=True)]
 
 
-def _job(args: argparse.Namespace, corpus) -> CompressJob:
+def _model_job(args: argparse.Namespace, corpus) -> CompressJob:
+    """The job of the corpus and cost options alone, which fix the model."""
     return CompressJob(corpus, max_len=args.max_len, min_count=args.min_count,
                        tau=args.tau, lam=args.lam, alpha=args.alpha,
-                       cuts=args.cuts, cfl_mode=args.cfl,
-                       exact_if_small=args.exact, dict_cost_mode=args.dict_cost)
+                       cfl_mode=args.cfl, dict_cost_mode=args.dict_cost)
+
+
+def _job(args: argparse.Namespace, corpus) -> CompressJob:
+    return replace(_model_job(args, corpus), cuts=args.cuts, exact_if_small=args.exact)
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -254,15 +273,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                                       args.docs_per_class,
                                                       args.seed)
         corpus = ingest(texts, CHAR)
-    job = CompressJob(corpus, max_len=args.max_len, min_count=args.min_count,
-                      lam=args.lam)
-    comp, report, model = compress(job)
-    space = feature_space(comp, model)
-    top = top_features(comp, model, space)
+    comp, _, model = compress(CompressJob(corpus, max_len=args.max_len,
+                                          min_count=args.min_count, lam=args.lam))
+    top = top_features(comp, model)
     bon_comp, _, bon_model = bon_compress(corpus, args.bon, args.min_count)
     bon_top = top_features(bon_comp, bon_model)
     lines = []
-    for name, mat, mdl in (("top", top, model), ("bon", bon_top, bon_model)):
+    for name, mat in (("top", top), ("bon", bon_top)):
         scores = learn.accuracy_over_resamples(learn.LabeledMatrix(mat, labels),
                                                args.resamples, args.seed)
         lines.append(f"{name}_nb_accuracy: {scores['nb_accuracy']:.4f}")
@@ -279,7 +296,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     corpus = read_corpus(args.input, args.mode)
-    model = build_job_model(_job(args, corpus))
+    model = build_job_model(_model_job(args, corpus))
     comp = exact_solve(model, limit=args.limit)
     print(f"objective: {comp.objective:.9g}")
     print(f"dictionary: "
@@ -297,11 +314,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_recon(args: argparse.Namespace) -> int:
-    from .errors import InvalidParam
-    from .recon import solve_dp
-
     corpus = read_corpus(args.input, args.mode)
-    model = build_job_model(_job(args, corpus))
+    # document pointers cost 1 under every scheme: no cost option applies
+    model = build_job_model(CompressJob(corpus, max_len=args.max_len,
+                                        min_count=args.min_count))
     if not 0 <= args.doc < len(corpus.docs):
         raise InvalidParam(f"no document {args.doc}")
     instance = model.recon_instances[0][args.doc]

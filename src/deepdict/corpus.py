@@ -186,11 +186,10 @@ class EquivalenceClasses:
 
     Two candidates share a class exactly when their occurrence (doc, start)
     sets are identical; members of a class form a chain of single-symbol
-    right extensions and the representative is the longest member.
+    right extensions.
     """
 
     classes: list[list[int]]
-    representative: list[int]
 
     def multi_member(self) -> list[list[int]]:
         return [c for c in self.classes if len(c) >= 2]
@@ -202,6 +201,4 @@ def equivalence_classes(candidates: CandidateSet) -> EquivalenceClasses:
         key = tuple(candidates.occurrences[cid])
         groups.setdefault(key, []).append(cid)
     # ids are grouped in ascending order: classes by first member, members within
-    classes = list(groups.values())
-    reps = [max(members, key=candidates.length) for members in classes]
-    return EquivalenceClasses(classes, reps)
+    return EquivalenceClasses(list(groups.values()))

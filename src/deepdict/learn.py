@@ -1,5 +1,7 @@
 """Desk-scale evaluation harness: multinomial naive Bayes, nearest-centroid
 classification, resampled accuracy, and a seeded labelled corpus.
+One protocol: add-one smoothing, L1-normalised and std-scaled centroids,
+and a 70/30 train/test split of every class, which needs two documents.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import numpy as np
 
 from .errors import DegenerateTraining, DimensionMismatch, InvalidParam
 from .features import SparseMatrix
+
+SMOOTHING = 1.0  # add-one
+TRAIN_FRACTION = 0.7
 
 
 @dataclass
@@ -35,8 +40,8 @@ class NBModel:
     log_likelihood: np.ndarray  # (n_classes, n_features)
 
 
-def nb_train(data: LabeledMatrix, smoothing: float = 1.0) -> NBModel:
-    """Multinomial naive Bayes with add-one smoothing by default."""
+def nb_train(data: LabeledMatrix) -> NBModel:
+    """Multinomial naive Bayes with add-one smoothing."""
     classes = sorted(set(data.labels))
     if len(classes) < 2:
         raise DegenerateTraining("need at least two classes")
@@ -45,7 +50,7 @@ def nb_train(data: LabeledMatrix, smoothing: float = 1.0) -> NBModel:
     counts = np.stack([data.matrix[labels == cls].sum(axis=0) for cls in classes])
     priors = np.array([np.count_nonzero(labels == cls) for cls in classes], dtype=float)
     totals = counts.sum(axis=1, keepdims=True)
-    log_like = np.log(counts + smoothing) - np.log(totals + smoothing * n_features)
+    log_like = np.log(counts + SMOOTHING) - np.log(totals + SMOOTHING * n_features)
     log_priors = np.log(priors / priors.sum())
     return NBModel(classes, log_priors, log_like)
 
@@ -62,35 +67,28 @@ def nb_predict(model: NBModel, rows: np.ndarray) -> list[int]:
 class CentroidModel:
     classes: list[int]
     centroids: np.ndarray
-    feature_scale: np.ndarray | None
-    kept_features: np.ndarray | None
-    l1_normalize: bool
+    feature_scale: np.ndarray
+    kept_features: np.ndarray
 
 
-def centroid_train(data: LabeledMatrix, l1_normalize: bool = False,
-                   std_scale: bool = False) -> CentroidModel:
-    """Class centroids, optionally L1-normalized, with optional per-feature
-    standard-deviation scaling computed on the training centroids
-    (zero-variance features are dropped)."""
+def centroid_train(data: LabeledMatrix) -> CentroidModel:
+    """L1-normalized class centroids, scaled per feature by the inverse
+    standard deviation across the centroids (zero-variance features are
+    dropped)."""
     classes = sorted(set(data.labels))
     if len(classes) < 2:
         raise DegenerateTraining("need at least two classes")
     labels = np.asarray(data.labels)
     centroids = np.stack([data.matrix[labels == cls].mean(axis=0) for cls in classes])
-    if l1_normalize:
-        norms = np.abs(centroids).sum(axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        centroids = centroids / norms
-    scale = None
-    kept = None
-    if std_scale:
-        stds = centroids.std(axis=0)
-        kept = np.flatnonzero(stds > 0.0)
-        if len(kept) == 0:
-            raise DegenerateTraining("all features have zero variance across centroids")
-        scale = 1.0 / stds[kept]
-        centroids = centroids[:, kept] * scale
-    return CentroidModel(classes, centroids, scale, kept, l1_normalize)
+    norms = np.abs(centroids).sum(axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    centroids = centroids / norms
+    stds = centroids.std(axis=0)
+    kept = np.flatnonzero(stds > 0.0)
+    if len(kept) == 0:
+        raise DegenerateTraining("all features have zero variance across centroids")
+    scale = 1.0 / stds[kept]
+    return CentroidModel(classes, centroids[:, kept] * scale, scale, kept)
 
 
 def centroid_predict(model: CentroidModel, sample_rows: np.ndarray) -> int:
@@ -99,12 +97,10 @@ def centroid_predict(model: CentroidModel, sample_rows: np.ndarray) -> int:
     if len(sample_rows) == 0:
         raise DimensionMismatch("no sample rows to average")
     mean = sample_rows.mean(axis=0)
-    if model.l1_normalize:
-        norm = np.abs(mean).sum()
-        if norm > 0.0:
-            mean = mean / norm
-    if model.kept_features is not None:
-        mean = mean[model.kept_features] * model.feature_scale
+    norm = np.abs(mean).sum()
+    if norm > 0.0:
+        mean = mean / norm
+    mean = mean[model.kept_features] * model.feature_scale
     dists = np.linalg.norm(model.centroids - mean, axis=1)
     return model.classes[int(np.argmin(dists))]
 
@@ -141,19 +137,23 @@ def synthetic_phrase_corpus(n_classes: int = 3, docs_per_class: int = 5,
     return texts, labels
 
 
-def accuracy_over_resamples(data: LabeledMatrix, n_resamples: int, seed: int,
-                            train_fraction: float = 0.7) -> dict[str, float]:
+def accuracy_over_resamples(data: LabeledMatrix, n_resamples: int,
+                            seed: int) -> dict[str, float]:
     """Mean accuracy of both classifiers over seeded train/test splits;
     the centroid protocol predicts one label per class from the averaged
-    held-out rows of that class."""
+    held-out rows of that class.  Each split trains on at least one and
+    tests on at least one document of every class."""
     if n_resamples < 1:
         raise InvalidParam(f"need at least one resample, got {n_resamples}")
     rng = random.Random(seed)
     by_class: dict[int, list[int]] = {}
     for i, label in enumerate(data.labels):
         by_class.setdefault(label, []).append(i)
-    nb_correct = nb_total = 0
-    cen_correct = cen_total = 0
+    for label, rows in sorted(by_class.items()):
+        if len(rows) < 2:
+            raise DegenerateTraining(f"class {label} has one document; "
+                                     "each class needs at least two documents")
+    nb_correct = nb_total = cen_correct = 0
     dense = data.matrix
     for _ in range(n_resamples):
         train_idx: list[int] = []
@@ -161,24 +161,21 @@ def accuracy_over_resamples(data: LabeledMatrix, n_resamples: int, seed: int,
         for label, rows in sorted(by_class.items()):
             rows = rows[:]
             rng.shuffle(rows)
-            split = max(1, int(len(rows) * train_fraction))
-            split = min(split, len(rows) - 1)
+            split = max(1, int(len(rows) * TRAIN_FRACTION))  # < len(rows), as len(rows) >= 2
             train_idx.extend(rows[:split])
             test_idx.extend(rows[split:])
         train = LabeledMatrix(dense[train_idx], [data.labels[i] for i in train_idx])
         nb = nb_train(train)
-        cen = centroid_train(train, l1_normalize=True, std_scale=True)
+        cen = centroid_train(train)
         predictions = nb_predict(nb, dense[test_idx])
-        for pos, i in enumerate(test_idx):
-            nb_total += 1
-            nb_correct += predictions[pos] == data.labels[i]
+        nb_total += len(test_idx)
+        nb_correct += sum(p == data.labels[i] for p, i in zip(predictions, test_idx))
         for label in sorted(by_class):
             sample = [i for i in test_idx if data.labels[i] == label]
-            cen_total += 1
             cen_correct += centroid_predict(cen, dense[sample]) == label
     return {
         "nb_accuracy": nb_correct / nb_total,
-        "centroid_accuracy": cen_correct / cen_total,
+        "centroid_accuracy": cen_correct / (n_resamples * len(by_class)),
         "majority_baseline": max(len(v) for v in by_class.values()) / len(data.labels),
     }
 

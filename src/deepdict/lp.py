@@ -43,8 +43,7 @@ import numpy as np
 from . import simplex
 from .corpus import EquivalenceClasses, equivalence_classes
 from .errors import Infeasible, InvalidParam, NumericalFailure, TooLarge
-from .model import (CHAR_CODE, CONSTANT_DICT_COST, DOCUMENT_CODE, STRING_CODE,
-                    ModelInstance, Pointers)
+from .model import CHAR_CODE, DOCUMENT_CODE, STRING_CODE, ModelInstance, Pointers
 from .recon import ReconResult, solve_dp
 
 ROUND_EPS = 1e-6
@@ -90,15 +89,19 @@ class LPSolution:
         return bool(np.all((np.abs(v) <= ROUND_EPS) | (np.abs(v - 1.0) <= ROUND_EPS)))
 
 
+def cut_classes(model: ModelInstance) -> EquivalenceClasses:
+    """Right-extension classes for the LP's and the exhaustive oracle's cuts,
+    which need nonnegative costs and one membership cost for every string."""
+    costs = model.costs
+    if not costs.nonnegative() or len(set(costs.string_costs)) > 1:
+        raise InvalidParam("equivalence cuts require the symmetric cost scheme")
+    return equivalence_classes(model.candidates)
+
+
 def build_lp(model: ModelInstance, cuts: bool = False) -> LPInstance:
     """The model's relaxation; with cuts, one cut row per multi-member
     right-extension class."""
-    if not cuts:
-        return LPInstance(model, [])
-    scheme = model.costs.scheme
-    if scheme is None or scheme.negate or scheme.dict_cost_mode != CONSTANT_DICT_COST:
-        raise InvalidParam("equivalence cuts require the symmetric cost scheme")
-    return LPInstance(model, equivalence_classes(model.candidates).multi_member())
+    return LPInstance(model, cut_classes(model).multi_member() if cuts else [])
 
 
 def sparse_program(lp: LPInstance) -> simplex.SparseProgram:

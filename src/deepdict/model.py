@@ -11,7 +11,8 @@ and character_only() drops them to give the shallow problem.  Excluded
 pointers and strings are omitted and never become variables.  A model
 groups its pointers into one reconstruction instance per target, once,
 the first time they are asked for; every dictionary evaluation solves
-those instances, filtering by membership inside the DP.
+those instances, filtering by membership inside the DP.  A CostModel is
+only its cost lists, aligned with the pointers and the candidate ids.
 
 A pointer set is a Pointers: four parallel int64 arrays (kind code,
 target, 1-based location, source), one entry per pointer, so memory stays
@@ -129,26 +130,15 @@ class Pointers:
         return np.where(inside & (own[found] == key), found, -1)
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    tau: float
-    lam: float
-    alpha: float
-    dict_cost_mode: str = CONSTANT_DICT_COST
-    negate: bool = False
-
-
 @dataclass
 class CostModel:
     doc_costs: list[float]  # aligned with ModelInstance.doc_pointers
     dict_costs: list[float]  # aligned with ModelInstance.dict_pointers
     string_costs: list[float]  # aligned with candidate ids
-    scheme: SchemeParams | None = None
 
     def nonnegative(self) -> bool:
-        return (all(c >= 0 for c in self.doc_costs)
-                and all(c >= 0 for c in self.dict_costs)
-                and all(c >= 0 for c in self.string_costs))
+        return all(c >= 0 for c in itertools.chain(self.doc_costs, self.dict_costs,
+                                                   self.string_costs))
 
 
 def _pairs(lists: list[list[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,8 +247,7 @@ def scheme_costs(doc_pointers: Pointers, dict_pointers: Pointers,
         string_costs = [float(tau)] * len(candidates)
     else:
         string_costs = [float(len(s)) for s in candidates.strings]
-    return CostModel(doc_costs, dict_costs, string_costs,
-                     SchemeParams(tau, lam, alpha, dict_cost_mode))
+    return CostModel(doc_costs, dict_costs, string_costs)
 
 
 def bon_landmark_costs(doc_pointers: Pointers, dict_pointers: Pointers,
@@ -272,8 +261,7 @@ def bon_landmark_costs(doc_pointers: Pointers, dict_pointers: Pointers,
             "candidate set contains strings longer than the landmark cap; "
             "re-enumerate candidates with max_len <= %d" % max_len)
     return CostModel([-1.0] * len(doc_pointers), [-1.0] * len(dict_pointers),
-                     [-1.0] * len(candidates),
-                     SchemeParams(-1.0, -1.0, 1.0, CONSTANT_DICT_COST, negate=True))
+                     [-1.0] * len(candidates))
 
 
 def build_model(corpus: Corpus, candidates: CandidateSet, tau: float, lam: float,

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .corpus import Corpus, enumerate_candidates, equivalence_classes
+from .corpus import Corpus, enumerate_candidates
 from .errors import InvalidParam
 from .features import stats
 from .lp import (EXACT_LIMIT, Compression, LPSolution, build_lp, compression_errors,
-                 exact_solve, price, round_to_compression, solve_lp)
+                 cut_classes, exact_solve, price, round_to_compression, solve_lp)
 from .model import (CONSTANT_DICT_COST, ModelInstance, bon_landmark_costs, build_model,
                     build_pointers, character_only)
 
@@ -85,8 +85,7 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
     checker and the report carries the relaxation/rounding diagnostics."""
     model = build_job_model(job)
     if job.exact_if_small and len(model.candidates) <= EXACT_LIMIT:
-        classes = equivalence_classes(model.candidates) if job.cuts else None
-        comp = exact_solve(model, classes=classes)
+        comp = exact_solve(model, classes=cut_classes(model) if job.cuts else None)
         report = _report("exact", None, comp, model)
         _assert_valid(comp, model)
         return comp, report, model

@@ -368,10 +368,18 @@ def test_eval_label_mismatch_exits_2(tmp_path):
     (["features", "{docs}", "--bon", "2", "--fractional"], 1, "usage error"),
     (["path", "{docs}", "--grid", "nan"], 1, "usage error"),
     (["path", "{docs}", "--grid", "1,inf"], 1, "usage error"),
+    # the exhaustive branch checks cuts as the LP does
+    (["compress", "{docs}", "--min-count", "1", "--cuts", "--dict-cost", "length", "--exact"],
+     2, "equivalence cuts require the symmetric cost scheme"),
+    # every split tests each class on at least one document, so it needs two
+    (["eval", "--input", "{trio}", "--labels", "{lonely}", "--min-count", "1", "--bon", "2"],
+     2, "class 1 has one document; each class needs at least two documents"),
 ])
 def test_bad_values_end_with_documented_code(tmp_path, capsys, argv, code, message):
     paths = {"docs": write_corpus_file(tmp_path, "docs.txt", ["abab", "baba"]),
-             "labels": write_corpus_file(tmp_path, "labels.txt", ["0", "x"])}
+             "labels": write_corpus_file(tmp_path, "labels.txt", ["0", "x"]),
+             "trio": write_corpus_file(tmp_path, "trio.txt", ["abab", "baba", "abab"]),
+             "lonely": write_corpus_file(tmp_path, "lonely.txt", ["0", "0", "1"])}
     argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "o")]
     try:
         got = cli.main(argv)
@@ -379,6 +387,25 @@ def test_bad_values_end_with_documented_code(tmp_path, capsys, argv, code, messa
         got = exc.code
     assert got == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("stats", "--out"), ("stats", "--seed"),
+    ("oracle", "--out"), ("oracle", "--seed"), ("oracle", "--exact"), ("oracle", "--cuts"),
+    *(("recon", flag) for flag in ("--tau", "--lambda", "--alpha", "--dict-cost", "--cfl",
+                                   "--cuts", "--exact", "--out", "--seed")),
+])
+def test_flags_a_command_would_ignore_are_usage_errors(tmp_path, capsys, command, flag):
+    # stats and oracle write no file; oracle is always exhaustive; recon's
+    # document pointers cost 1 under every scheme
+    values = {"--out": str(tmp_path / "o"), "--seed": "1", "--tau": "0", "--lambda": "1",
+              "--alpha": "1", "--dict-cost": "constant"}
+    argv = [command, write_corpus_file(tmp_path, "docs.txt", ["abab", "baba"]),
+            "--min-count", "1", flag] + ([values[flag]] if flag in values else [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_eval_reports_accuracies(tmp_path, capsys):

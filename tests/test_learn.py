@@ -84,7 +84,7 @@ def test_centroid_label_permutation():
 def test_centroid_scaling_options():
     data = LabeledMatrix(matrix([[4, 1, 7], [2, 1, 7], [0, 3, 7], [0, 5, 7]]),
                          [0, 0, 1, 1])
-    model = centroid_train(data, l1_normalize=True, std_scale=True)
+    model = centroid_train(data)
     # the constant feature has zero variance across centroids and is dropped
     assert len(model.kept_features) == 2
     assert centroid_predict(model, matrix([[3, 0, 7]]).to_dense()) == 0
@@ -125,6 +125,16 @@ def test_accuracy_over_resamples_pinned_on_labelled_ladder():
     assert scores == {"nb_accuracy": 0.7555555555555555,
                       "centroid_accuracy": 0.8333333333333334,
                       "majority_baseline": 1 / 3}
+
+
+@pytest.mark.parametrize("labels,lonely", [([0, 1, 1, 1, 2, 2, 2], 0), ([0, 1], 0),
+                                           ([0, 0, 1], 1)])
+def test_one_document_class_rejected_before_resampling(labels, lonely):
+    # a split keeps at least one document of every class for testing, so a
+    # one-document class would never be trained on
+    data = LabeledMatrix(np.ones((len(labels), 4)), labels)
+    with pytest.raises(DegenerateTraining, match=f"class {lonely} has one document"):
+        accuracy_over_resamples(data, 3, 0)
 
 
 def test_labeled_matrix_shape_check():

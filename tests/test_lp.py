@@ -13,7 +13,7 @@ from deepdict.lp import (build_lp, check_coverable, compression_errors, exact_so
                          prune_descent, round_to_compression, solve_lp, sparse_program)
 from deepdict.model import (DICT_CHAR, DICT_STRING, DOCUMENT, Pointer, build_model,
                             character_only)
-from deepdict.pipeline import CompressJob, compress
+from deepdict.pipeline import CompressJob, bon_compress, compress
 from deepdict.recon import Interval, ReconInstance, ReconResult, solve_dp
 
 from oracles import (GE, LE, dense_program, ladder_texts, naive_exact, pointer_is_valid,
@@ -445,8 +445,19 @@ def test_cut_rows_absent_for_singleton_classes():
 
 def test_cuts_require_symmetric_scheme():
     model = model_for(["abab"], 2, 1, dict_cost_mode="length")
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam, match="symmetric cost scheme"):
         build_lp(model, cuts=True)
+
+
+def test_cuts_read_the_costs():
+    # one membership cost for every candidate: unigrams alone in length
+    # mode all cost 1, and no class has two members to cut
+    unigrams = model_for(["abab"], 1, 1, dict_cost_mode="length")
+    assert build_lp(unigrams, cuts=True).cut_members == []
+    assert lp.cut_classes(model_for(["abab"], 4, 1, tau=0.5)).multi_member()
+    _, _, landmark = bon_compress(ingest(["abab"], CHAR), 2)  # every cost -1
+    with pytest.raises(InvalidParam, match="symmetric cost scheme"):
+        lp.cut_classes(landmark)
 
 
 def test_cuts_preserve_exact_optimum_and_tighten_lp():

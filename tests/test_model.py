@@ -55,7 +55,6 @@ def test_character_only_restricts_without_copying():
     assert shallow.doc_pointers is model.doc_pointers
     assert shallow.costs.doc_costs is model.costs.doc_costs
     assert shallow.costs.string_costs is model.costs.string_costs
-    assert shallow.costs.scheme is model.costs.scheme
     # exactly the character slots, in model order, with their own costs
     chars = [(p, c) for p, c in zip(model.dict_pointers, model.costs.dict_costs)
              if p.kind == DICT_CHAR]
@@ -146,7 +145,6 @@ def test_bon_costs_all_negative():
     assert set(costs.doc_costs) == {-1.0}
     assert set(costs.dict_costs) == {-1.0}
     assert set(costs.string_costs) == {-1.0}
-    assert costs.scheme.negate
 
 
 def test_bon_costs_reject_oversized_candidates():

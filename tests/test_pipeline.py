@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -68,6 +69,13 @@ def test_exact_if_small_routes_to_oracle():
     assert report.method == "exact"
     assert report.rounded_objective == pytest.approx(4.0)
     assert report.lp_objective is None
+
+
+def test_exact_branch_checks_cuts_like_the_lp():
+    job = job_for(["abab", "abab", "baba"], min_count=1, cuts=True, dict_cost_mode="length")
+    for exact in (False, True):
+        with pytest.raises(InvalidParam, match="symmetric cost scheme"):
+            compress(replace(job, exact_if_small=exact))
 
 
 def test_deep_never_worse_than_cfl():

@@ -1,13 +1,17 @@
 """The shipped package holds only what the program runs: every module-level
 function and class under src/deepdict is referenced by name somewhere else
 in the package, or is a console-script entry point.  Reference forms that
-only tests call belong in tests/oracles.py."""
+only tests call belong in tests/oracles.py.  Likewise every option a
+subcommand declares is read by the command's handler."""
 
+import argparse
 import ast
 import collections
 import glob
 import os
 import tomllib
+
+from deepdict import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -49,3 +53,57 @@ def unreferenced_definitions(package_dir, pyproject):
 def test_every_definition_is_used_by_the_package():
     assert unreferenced_definitions(os.path.join(ROOT, "src", "deepdict"),
                                     os.path.join(ROOT, "pyproject.toml")) == []
+
+
+def _options_read(functions, name, param, seen):
+    """The attributes of `param` that function `name` reads, directly or in
+    a module-level helper it passes `param` to; vars(param) reads them all,
+    returned as None."""
+    if (name, param) in seen:
+        return set()
+    seen.add((name, param))
+    read = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == param):
+            read.add(node.attr)
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        passed = list(enumerate(node.args))
+        passed += [(kw.arg, kw.value) for kw in node.keywords]
+        for where, arg in passed:
+            if not (isinstance(arg, ast.Name) and arg.id == param):
+                continue
+            if node.func.id == "vars":
+                return None
+            if node.func.id in functions:
+                callee = functions[node.func.id]
+                inner = callee.args.args[where].arg if isinstance(where, int) else where
+                more = _options_read(functions, node.func.id, inner, seen)
+                if more is None:
+                    return None
+                read |= more
+    return read
+
+
+def unread_options(cli_path, parser):
+    """(command, option dest) pairs that a subcommand declares and its
+    handler cmd_<command> never reads, sorted."""
+    with open(cli_path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), cli_path)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    unread = []
+    for command, sub in commands.items():
+        handler = functions["cmd_" + command]
+        read = _options_read(functions, handler.name, handler.args.args[0].arg, set())
+        if read is not None:  # None: the handler reads vars(args), every option
+            unread += [(command, action.dest) for action in sub._actions
+                       if action.dest not in read | {"help"}]
+    return sorted(unread)
+
+
+def test_every_option_is_read_by_its_command():
+    assert unread_options(os.path.join(ROOT, "src", "deepdict", "cli.py"),
+                          cli._build_parser()) == []
