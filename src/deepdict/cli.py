@@ -3,6 +3,10 @@
 Commands: compress, features, path, eval, oracle, stats, recon.  A command
 takes only the options it reads: recon the corpus options, oracle also the
 costs, stats also --cuts and --exact, the others also --out and --seed.
+An option a command ignores in some configuration is a usage error there
+(_IGNORED): features --bon takes no cost or solver option and no
+--fractional, eval takes --mode only with --input, and --classes and
+--docs-per-class only without it.
 Every output file starts with a header holding the version and the run
 configuration; identical configurations give byte-identical files.
 
@@ -336,11 +340,43 @@ def cmd_recon(args: argparse.Namespace) -> int:
     return 0
 
 
+# options a command ignores in some configuration, each a usage error there:
+# (command, whether the configuration holds, option dests, why)
+_IGNORED = (
+    ("features", lambda args: args.bon, ("fractional",),
+     "it exports the LP relaxation, which --bon does not solve"),
+    ("features", lambda args: args.bon,
+     ("max_len", "tau", "lam", "alpha", "cfl", "dict_cost", "cuts", "exact"),
+     "--bon K takes every n-gram up to length K, with no costs and no LP"),
+    ("eval", lambda args: args.input is None, ("mode",),
+     "without --input the synthetic fixture is always read as characters"),
+    ("eval", lambda args: args.input is not None, ("classes", "docs_per_class"),
+     "--input replaces the synthetic fixture they shape"),
+)
+
+
+def _given(argv: list[str] | None) -> dict[str, str]:
+    """The options argv gives, whatever their values, as dest -> option
+    string: argv parsed again with every subcommand default suppressed."""
+    probe = _build_parser()
+    flags = {}
+    for action in probe._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                for option in sub._actions:
+                    option.default = argparse.SUPPRESS
+                    flags[option.dest] = max(option.option_strings, key=len, default="")
+    return {dest: flags[dest] for dest in vars(probe.parse_args(argv)) if dest in flags}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "features" and args.bon and args.fractional:
-        parser.error("--fractional exports the LP relaxation, which --bon does not solve")
+    given = _given(argv)
+    for command, applies, dests, why in _IGNORED:
+        ignored = [given[dest] for dest in dests if dest in given]
+        if args.command == command and ignored and applies(args):
+            parser.error(f"{command} ignores {', '.join(ignored)} here: {why}")
     handlers = {
         "compress": cmd_compress,
         "features": cmd_features,

@@ -29,12 +29,27 @@ model once, for the compression that is returned.  price and
 compression_errors are array operations on those arrays: pointers are found
 in the model by packed keys, substrings are matched by one gather per
 source position, and coverage is counted per target from run offsets.
+Each pointer set packs and sorts its keys once, and each model builds
+its symbol pool once, on first use.
+
+solve_lp also returns a certified lower bound, LPSolution.bound: the
+weak-duality bound of HiGHS's row duals (simplex.dual_bound), computed
+here from the program, never read from the solver.  No binary compression
+costs less than the LP value (cut rows included, since they keep a binary
+optimum), so none costs less than the bound.  Rounding uses it to skip
+work whose result would be discarded: a compression counts as reaching
+the bound when it costs at most BOUND_MARGIN = 1e-10 more, a tenth of the
+1e-9 by which a cheaper compression must beat an incumbent.  So an
+epsilon-rounding that reaches the bound is returned without
+prune_descent, and prune_descent ends its scan and its descent at the
+first trial that reaches it: no later trial could beat either by 1e-9.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,6 +63,10 @@ from .recon import ReconResult, solve_dp
 
 ROUND_EPS = 1e-6
 EXACT_LIMIT = 12  # most candidates exact_solve enumerates by default
+# a compression within this of a lower bound counts as reaching it: a tenth
+# of the 1e-9 that a cheaper compression must beat an incumbent by, so float
+# error in summed costs cannot turn a skip into a lost improvement
+BOUND_MARGIN = 1e-10
 
 
 @dataclass
@@ -78,6 +97,7 @@ class LPInstance:
 class LPSolution:
     values: np.ndarray
     objective: float
+    bound: float  # weak-duality bound from HiGHS's row duals, <= every compression
     basis_summary: dict
     instance: LPInstance
 
@@ -175,10 +195,18 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     check_coverable(lp.model)
     # coverable rows and [0, 1] variables make the program feasible and
     # bounded, so any other status is a solver failure
-    result = simplex.run(sparse_program(lp))
+    program = sparse_program(lp)
+    result = simplex.run(program)
     if result.status != "optimal":
         raise NumericalFailure(f"the relaxation came back {result.status}")
-    return LPSolution(result.x, result.objective, {"iterations": result.iterations}, lp)
+    return LPSolution(result.x, result.objective, simplex.dual_bound(program, result.row_dual),
+                      {"iterations": result.iterations}, lp)
+
+
+def reaches_bound(objective: float, bound: float) -> bool:
+    """Whether a compression of this objective is as cheap as any can be
+    under the lower bound, so no other one can beat it by 1e-9."""
+    return bound >= objective - BOUND_MARGIN
 
 
 @dataclass(frozen=True)
@@ -256,23 +284,30 @@ def _assemble(model: ModelInstance, docs: list[ReconResult],
 
 
 def round_to_compression(solution: LPSolution, model: ModelInstance) -> Compression:
+    """The epsilon-rounding of the solution, sharpened by prune_descent
+    unless it already reaches the solution's bound."""
     members = {cid for cid in range(len(model.candidates))
                if solution.string_value(cid) > ROUND_EPS}
     comp = _assemble(model, *_solve_members(model, members))
-    return prune_descent(comp, model)
+    if reaches_bound(comp.objective, solution.bound):
+        return comp
+    return prune_descent(comp, model, solution.bound)
 
 
 SWAP_BUDGET = 80000  # cap on (moves x pointer universe) for swap/add search
 
 
-def prune_descent(comp: Compression, model: ModelInstance) -> Compression:
+def prune_descent(comp: Compression, model: ModelInstance,
+                  bound: float = -math.inf) -> Compression:
     """Best-improvement local search over the rounded dictionary: drop one
     member at a time (and, on small instances, swap a member for an outside
     candidate or add one), re-solving every reconstruction against the new
     dictionary, while the objective strictly decreases.  Each step keeps a
     valid binary compression, so this only sharpens the rounding and is a
     no-op when the input is already a binary optimum.  Trials are compared
-    on id lists; only the result is laid out as pointer arrays."""
+    on id lists; only the result is laid out as pointer arrays.  A trial
+    that reaches the lower bound ends the scan and the descent, since no
+    later trial could beat it."""
     members = set(comp.dictionary)
     best: _Selection | None = None
     best_objective = comp.objective
@@ -295,6 +330,8 @@ def prune_descent(comp: Compression, model: ModelInstance) -> Compression:
             if candidate.objective < best_objective - 1e-9 and (
                     improved is None or candidate.objective < improved.objective - 1e-9):
                 improved = candidate
+                if reaches_bound(improved.objective, bound):
+                    return _compression(model, improved)
         if improved is None:
             return comp if best is None else _compression(model, best)
         best = improved
@@ -327,21 +364,14 @@ def _valid_placements(ptrs: Pointers, model: ModelInstance) -> np.ndarray:
     pointer), and the target's symbols at its location equal the source.
     The match is one gather per source position from a pool of every
     document's symbols followed by the candidates' padded symbol rows."""
-    docs = model.corpus.docs
-    strings = model.candidates.strings
-    lengths = model.candidates.lengths
-    width = int(lengths.max())
-    padded = np.full((len(strings), width), -1, dtype=np.int64)
-    for cid, s in enumerate(strings):
-        padded[cid, :len(s)] = s
-    doc_len = np.array([len(doc) for doc in docs])
+    pool, padded, doc_len = model.symbol_pool
+    n_strings, width = padded.shape
     doc_first = np.cumsum(doc_len) - doc_len
-    n_symbols = int(doc_len.sum())
-    pool = np.concatenate([np.fromiter(itertools.chain.from_iterable(d.symbols for d in docs),
-                                       dtype=np.int64, count=n_symbols), padded.ravel()])
+    n_symbols = len(pool) - padded.size
+    lengths = model.candidates.lengths
     is_doc = ptrs.kind == DOCUMENT_CODE
-    valid = (_within(ptrs.source, len(strings))
-             & _within(ptrs.target, np.where(is_doc, len(docs), len(strings))))
+    valid = (_within(ptrs.source, n_strings)
+             & _within(ptrs.target, np.where(is_doc, len(doc_len), n_strings)))
     source = np.where(valid, ptrs.source, 0)
     doc_target = np.where(valid & is_doc, ptrs.target, 0)
     cand_target = np.where(valid & ~is_doc, ptrs.target, 0)
@@ -403,7 +433,7 @@ def compression_errors(comp: Compression, model: ModelInstance) -> list[str]:
     for i in np.flatnonzero(~_valid_placements(both, model)).tolist():
         errors.append(f"invalid pointer {both[i]}")
     known = _within(docs.target, n_docs) & _within(docs.source, n_cands)
-    doc_len = np.array([len(doc) for doc in model.corpus.docs])
+    _, _, doc_len = model.symbol_pool
     misfit = _misfits(docs.location[known], lengths[docs.source[known]],
                       docs.target[known], doc_len)
     for d in np.flatnonzero(misfit).tolist():

@@ -10,9 +10,11 @@ itself a candidate; those require dictionary membership of the source,
 and character_only() drops them to give the shallow problem.  Excluded
 pointers and strings are omitted and never become variables.  A model
 groups its pointers into one reconstruction instance per target, once,
-the first time they are asked for; every dictionary evaluation solves
-those instances, filtering by membership inside the DP.  A CostModel is
-only its cost lists, aligned with the pointers and the candidate ids.
+the first time they are asked for, and character_only() shares the
+document instances rather than grouping them again; every dictionary
+evaluation solves those instances, filtering by membership inside the
+DP.  A CostModel is only its cost lists, aligned with the pointers and
+the candidate ids.
 
 A pointer set is a Pointers: four parallel int64 arrays (kind code,
 target, 1-based location, source), one entry per pointer, so memory stays
@@ -108,26 +110,35 @@ class Pointers:
                      self.source.tolist())]
         return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
-    def find(self, query: Pointers) -> np.ndarray:
-        """The position of each query pointer in this set, -1 where it has
-        none: both sides packed into one int64 key per pointer, then one
-        sorted search."""
-        if not len(self):
-            return np.full(len(query), -1)
+    @functools.cached_property
+    def _search_index(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """find's index of this set, built on its first search: the radix
+        of each field, the packed int64 key of every pointer in ascending
+        order, and the position each sorted key came from."""
         radices = [int(getattr(self, f).max()) + 1 for f in _FIELDS]  # values are nonnegative
         if math.prod(radices) >= 2 ** 63:
             raise TooLarge("pointer fields too large to pack into one int64 key")
-        inside = np.ones(len(query), dtype=bool)
         own = np.zeros(len(self), dtype=np.int64)
+        for f, radix in zip(_FIELDS, radices):
+            own = own * radix + getattr(self, f)
+        order = np.argsort(own, kind="stable")
+        return radices, own[order], order
+
+    def find(self, query: Pointers) -> np.ndarray:
+        """The position of each query pointer in this set, -1 where it has
+        none: the query packed like the set's own keys, then one sorted
+        search of the set's index."""
+        if not len(self):
+            return np.full(len(query), -1)
+        radices, keys, order = self._search_index
+        inside = np.ones(len(query), dtype=bool)
         key = np.zeros(len(query), dtype=np.int64)
         for f, radix in zip(_FIELDS, radices):
-            values, wanted = getattr(self, f), getattr(query, f)
+            wanted = getattr(query, f)
             inside &= (wanted >= 0) & (wanted < radix)
-            own = own * radix + values
             key = key * radix + np.where(inside, wanted, 0)
-        order = np.argsort(own, kind="stable")
-        found = order[np.minimum(np.searchsorted(own, key, sorter=order), len(self) - 1)]
-        return np.where(inside & (own[found] == key), found, -1)
+        at = np.minimum(np.searchsorted(keys, key), len(self) - 1)
+        return np.where(inside & (keys[at] == key), order[at], -1)
 
 
 @dataclass
@@ -193,36 +204,66 @@ class ModelInstance:
     costs: CostModel
 
     @functools.cached_property
+    def doc_recon(self) -> tuple[list[int], list[ReconInstance]]:
+        """The document half of needs and recon_instances, built on first
+        use; character_only shares it with its restriction."""
+        needs = self.doc_pointers.source.tolist()
+        return needs, _instances([doc.symbols for doc in self.corpus.docs], self.doc_pointers,
+                                 self.costs.doc_costs, needs, self.candidates.lengths)
+
+    @functools.cached_property
+    def dict_recon(self) -> tuple[list[int | None], list[ReconInstance]]:
+        """The dictionary half of needs and recon_instances, built on first
+        use."""
+        sources = self.dict_pointers.source.tolist()
+        chars = (self.dict_pointers.kind == CHAR_CODE).tolist()
+        needs = [None if char else source for source, char in zip(sources, chars)]
+        return needs, _instances(self.candidates.strings, self.dict_pointers,
+                                 self.costs.dict_costs, needs, self.candidates.lengths)
+
+    @property
     def needs(self) -> tuple[list[int], list[int | None]]:
         """The string each pointer needs in the dictionary, as lists for
         per-dictionary lookups: every document pointer's source, and each
         dictionary pointer's source, or None for a character slot."""
-        sources = self.dict_pointers.source.tolist()
-        chars = (self.dict_pointers.kind == CHAR_CODE).tolist()
-        return (self.doc_pointers.source.tolist(),
-                [None if char else source for source, char in zip(sources, chars)])
+        return self.doc_recon[0], self.dict_recon[0]
+
+    @property
+    def recon_instances(self) -> tuple[list[ReconInstance], list[ReconInstance]]:
+        """One reconstruction instance per target: per document (indexed by
+        doc id) its pointers, per candidate its character slots (source
+        None: they need no member) and its string pointers."""
+        return self.doc_recon[1], self.dict_recon[1]
 
     @functools.cached_property
-    def recon_instances(self) -> tuple[list[ReconInstance], list[ReconInstance]]:
-        """One reconstruction instance per target, built on first use: per
-        document (indexed by doc id) its pointers, per candidate its
-        character slots (source None: they need no member) and its string
-        pointers.  Each interval list keeps the model's pointer order."""
-        lengths = self.candidates.lengths
-        doc_needs, dict_needs = self.needs
-        groups = []
-        for ptrs, costs, needs, n_targets in (
-                (self.doc_pointers, self.costs.doc_costs, doc_needs, len(self.corpus.docs)),
-                (self.dict_pointers, self.costs.dict_costs, dict_needs, len(lengths))):
-            intervals: list[list[Interval]] = [[] for _ in range(n_targets)]
-            for i, (target, location, length, cost, need) in enumerate(zip(
-                    ptrs.target.tolist(), ptrs.location.tolist(),
-                    lengths[ptrs.source].tolist(), costs, needs)):
-                intervals[target].append(Interval(location, length, cost, i, need))
-            groups.append(intervals)
-        docs = [ReconInstance(doc.symbols, ivs) for doc, ivs in zip(self.corpus.docs, groups[0])]
-        strings = [ReconInstance(s, ivs) for s, ivs in zip(self.candidates.strings, groups[1])]
-        return docs, strings
+    def symbol_pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The symbols pointers are matched against, built on first use:
+        one int64 pool of every document's symbols followed by the
+        candidates' rows padded with -1 to the longest candidate, those
+        padded rows, and each document's length."""
+        docs = self.corpus.docs
+        strings = self.candidates.strings
+        padded = np.full((len(strings), int(self.candidates.lengths.max())), -1,
+                         dtype=np.int64)
+        for cid, s in enumerate(strings):
+            padded[cid, :len(s)] = s
+        doc_len = np.array([len(doc) for doc in docs])
+        n_symbols = int(doc_len.sum())
+        pool = np.concatenate([np.fromiter(itertools.chain.from_iterable(d.symbols for d in docs),
+                                           dtype=np.int64, count=n_symbols), padded.ravel()])
+        return pool, padded, doc_len
+
+
+def _instances(targets: list[tuple[int, ...]], ptrs: Pointers, costs: list[float],
+               needs: list[int | None], lengths: np.ndarray) -> list[ReconInstance]:
+    """One reconstruction instance per target, its intervals the pointers
+    into it in the given pointer order."""
+    intervals: list[list[Interval]] = [[] for _ in targets]
+    for i, (target, location, length, cost, need) in enumerate(zip(
+            ptrs.target.tolist(), ptrs.location.tolist(), lengths[ptrs.source].tolist(),
+            costs, needs)):
+        intervals[target].append(Interval(location, length, cost, i, need))
+    return [ReconInstance(target, ivs) for target, ivs in zip(targets, intervals)]
 
 
 def scheme_costs(doc_pointers: Pointers, dict_pointers: Pointers,
@@ -273,8 +314,11 @@ def build_model(corpus: Corpus, candidates: CandidateSet, tau: float, lam: float
 
 def character_only(model: ModelInstance) -> ModelInstance:
     """The shallow (Compressive Feature Learning) restriction: the character
-    slots among the dictionary pointers, in model order; all else is shared."""
+    slots among the dictionary pointers, in model order; all else is
+    shared, the documents' reconstruction instances included."""
     keep = model.dict_pointers.kind == CHAR_CODE
     costs = replace(model.costs, dict_costs=list(
         itertools.compress(model.costs.dict_costs, keep.tolist())))
-    return replace(model, dict_pointers=model.dict_pointers[keep], costs=costs)
+    restricted = replace(model, dict_pointers=model.dict_pointers[keep], costs=costs)
+    restricted.doc_recon = model.doc_recon
+    return restricted

@@ -2,6 +2,12 @@
 
 compress() rounds the LP relaxation of one model per job and, for deep jobs,
 of its character-only restriction; tiny jobs may go to the exhaustive oracle.
+The shallow half can only win by being cheaper than the deep result by
+1e-9, and it costs at least either LP's bound (lp.solve_lp; the shallow
+solution is feasible in the deep model).  So it is skipped when the deep
+rounding reaches the deep bound, and it is solved but not rounded when its
+own bound reaches the deep result; both skips drop only results compress
+would discard, so outputs are the same as without them.
 bon_compress() realizes the all-n-grams landmark (uniform negative costs)
 by inspection, without a solve.  path_sweep() resolves the LP along an
 ascending grid of dictionary-pointer costs and merges consecutive grid
@@ -16,7 +22,8 @@ from .corpus import Corpus, enumerate_candidates
 from .errors import InvalidParam
 from .features import stats
 from .lp import (EXACT_LIMIT, Compression, LPSolution, build_lp, compression_errors,
-                 cut_classes, exact_solve, price, round_to_compression, solve_lp)
+                 cut_classes, exact_solve, price, reaches_bound, round_to_compression,
+                 solve_lp)
 from .model import (CONSTANT_DICT_COST, ModelInstance, bon_landmark_costs, build_model,
                     build_pointers, character_only)
 
@@ -93,21 +100,26 @@ def compress(job: CompressJob) -> tuple[Compression, CompressReport, ModelInstan
     solution = solve_lp(lp)
     comp = round_to_compression(solution, model)
     # every shallow solution is feasible in the full model, so keeping the
-    # cheaper result means the deep output never trails the shallow one
-    if not job.cfl_mode:
-        shallow = _shallow_rounding(job, model)
-        if shallow.objective < comp.objective - 1e-9:
+    # cheaper result means the deep output never trails the shallow one;
+    # it costs at least the deep bound, so a rounding that reaches it stays
+    if not (job.cfl_mode or reaches_bound(comp.objective, solution.bound)):
+        shallow = _shallow_rounding(job, model, comp.objective)
+        if shallow is not None and shallow.objective < comp.objective - 1e-9:
             comp = shallow
     _assert_valid(comp, model)
     report = _report("lp+round", solution, comp, model)
     return comp, report, model
 
 
-def _shallow_rounding(job: CompressJob, model: ModelInstance) -> Compression:
+def _shallow_rounding(job: CompressJob, model: ModelInstance,
+                      incumbent: float) -> Compression | None:
     """Round the character-only restriction (whose own size gates its
-    swap/add moves) and price the result in the full model."""
+    swap/add moves) and price the result in the full model; None when the
+    restriction's bound shows its rounding cannot beat the incumbent."""
     restricted = character_only(model)
     solution = solve_lp(build_lp(restricted, cuts=job.cuts))
+    if reaches_bound(incumbent, solution.bound):
+        return None
     comp = round_to_compression(solution, restricted)
     return replace(comp, objective=price(comp, model))
 

@@ -8,7 +8,12 @@ and csc() lays out any (row, col, value) entries in that form.
 
 Every solve uses the fixed HIGHS_OPTIONS.  The HiGHS statuses optimal,
 infeasible and unbounded are returned as such; any other status (an
-iteration limit, a solver error) raises NumericalFailure.
+iteration limit, a solver error) raises NumericalFailure.  An optimal
+result carries HiGHS's row duals y (with c - A'y the reduced costs), and
+dual_bound() turns any y into a lower bound on the program by weak
+duality, clipping y to each row's bound type and taking each column's
+reduced cost at its cheaper bound, so the bound does not depend on the
+solver's tolerances or its reported objective.
 """
 
 from __future__ import annotations
@@ -60,6 +65,31 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float
     iterations: int
+    row_dual: np.ndarray | None  # HiGHS's row duals y, with c - A'y the reduced costs
+
+
+def _box_min(lower: np.ndarray, upper: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per entry, the least r*v over lower <= v <= upper (0 where r is 0)."""
+    return (np.where(r > 0, lower, 0.0) * np.maximum(r, 0.0)
+            + np.where(r < 0, upper, 0.0) * np.minimum(r, 0.0))
+
+
+def dual_bound(program: SparseProgram, y: np.ndarray) -> float:
+    """A lower bound on c.x over the program, from any row prices y, by
+    weak duality: c.x = (c - A'y).x + y.(Ax), and each term is at least
+    its least value over the column's or the row's box.  y is first
+    clipped to the row's bound type (y >= 0 on a row with no upper bound,
+    y <= 0 on one with no lower bound), so the row terms stay finite.
+    The bound never reads the solver's objective, so it holds whatever
+    tolerances produced y."""
+    y = np.where(np.isinf(program.row_upper), np.maximum(y, 0.0), y)
+    y = np.where(np.isinf(program.row_lower), np.minimum(y, 0.0), y)
+    n = len(program.cost)
+    column = np.repeat(np.arange(n), np.diff(program.start))
+    reduced = program.cost - np.bincount(column, weights=program.value * y[program.index],
+                                         minlength=n)
+    return float(_box_min(program.row_lower, program.row_upper, y).sum()
+                 + _box_min(program.lower, program.upper, reduced).sum())
 
 
 def csc(n_cols: int, rows: np.ndarray, cols: np.ndarray,
@@ -132,7 +162,9 @@ def run(program: SparseProgram) -> SimplexResult:
             f"HiGHS stopped with status {highs.modelStatusToString(model_status)}")
     if status != "optimal":
         objective = float("nan") if status == "infeasible" else float("-inf")
-        return SimplexResult(status, None, objective, iterations)
-    x = np.array(highs.getSolution().col_value, dtype=float)
-    return SimplexResult("optimal", x, float(program.cost @ x), iterations)
+        return SimplexResult(status, None, objective, iterations, None)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value, dtype=float)
+    y = np.array(solution.row_dual, dtype=float).reshape(len(program.row_lower))
+    return SimplexResult("optimal", x, float(program.cost @ x), iterations, y)
 

@@ -21,6 +21,9 @@ the package itself never runs them:
   predicts the same on diffused and on raw features.
 - alpha_depth_check: at alpha < 1/k, every dictionary string of length
   <= k is built from character slots alone.
+- reference_compress: compress without the LP bound's skips, so every
+  rounding is pruned and every deep job also rounds its character-only
+  restriction; epsilon_rounding is the rounding it prunes.
 - write_corpus, read_matrix and write_labels: the file formats read back
   or written the other way round.
 """
@@ -34,13 +37,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from deepdict import lp as lp_module
 from deepdict import simplex
 from deepdict.corpus import Corpus
 from deepdict.errors import DimensionMismatch, Infeasible, InvalidParam, NumericalFailure
 from deepdict.features import SparseMatrix, diffuse
-from deepdict.lp import LPInstance
-from deepdict.model import CHAR_CODE, ModelInstance
-from deepdict.pipeline import CompressJob, compress
+from deepdict.lp import (EXACT_LIMIT, Compression, LPInstance, LPSolution, build_lp,
+                         cut_classes, exact_solve, price, prune_descent, solve_lp)
+from deepdict.model import CHAR_CODE, ModelInstance, character_only
+from deepdict.pipeline import CompressJob, build_job_model, compress
 from deepdict.recon import ReconInstance
 
 
@@ -554,6 +559,38 @@ def alpha_depth_check(corpus: Corpus, job: CompressJob, alpha: float,
     ptrs = comp.dict_pointers
     short = model.candidates.lengths[ptrs.target] <= k_check
     return not (short & (ptrs.kind != CHAR_CODE)).any()
+
+
+def epsilon_rounding(solution: LPSolution, model: ModelInstance) -> Compression:
+    """The solution's epsilon-rounding before any pruning: every string of
+    membership weight above ROUND_EPS, its unused strings dropped."""
+    members = {cid for cid in range(len(model.candidates))
+               if solution.string_value(cid) > lp_module.ROUND_EPS}
+    return lp_module._assemble(model, *lp_module._solve_members(model, members))
+
+
+def _reference_rounding(solution: LPSolution, model: ModelInstance) -> Compression:
+    """The epsilon-rounding of the solution, always pruned with no bound."""
+    return prune_descent(epsilon_rounding(solution, model), model)
+
+
+def reference_compress(job: CompressJob) -> Compression:
+    """pipeline.compress's compression, computed without skipping anything:
+    the deep rounding is always pruned, and a deep job always solves, rounds
+    and prunes its character-only restriction, keeping it when it is
+    cheaper by more than 1e-9."""
+    model = build_job_model(job)
+    if job.exact_if_small and len(model.candidates) <= EXACT_LIMIT:
+        return exact_solve(model, classes=cut_classes(model) if job.cuts else None)
+    comp = _reference_rounding(solve_lp(build_lp(model, cuts=job.cuts)), model)
+    if not job.cfl_mode:
+        restricted = character_only(model)
+        shallow = _reference_rounding(solve_lp(build_lp(restricted, cuts=job.cuts)),
+                                      restricted)
+        shallow = replace(shallow, objective=price(shallow, model))
+        if shallow.objective < comp.objective - 1e-9:
+            comp = shallow
+    return comp
 
 
 def write_corpus(corpus: Corpus, path: str) -> None:

@@ -394,18 +394,34 @@ def test_bad_values_end_with_documented_code(tmp_path, capsys, argv, code, messa
     ("oracle", "--out"), ("oracle", "--seed"), ("oracle", "--exact"), ("oracle", "--cuts"),
     *(("recon", flag) for flag in ("--tau", "--lambda", "--alpha", "--dict-cost", "--cfl",
                                    "--cuts", "--exact", "--out", "--seed")),
+    # options the command has, but ignores in the configuration set before them
+    *(pytest.param("features {docs} --bon 2", flag, id=f"features-bon-{flag}")
+      for flag in ("--max-len", "--tau", "--lambda", "--alpha", "--cfl", "--dict-cost",
+                   "--cuts", "--exact")),
+    pytest.param("eval --resamples 2", "--mode", id="eval-fixture---mode"),
+    *(pytest.param("eval --input {docs} --labels {labels}", flag, id=f"eval-input-{flag}")
+      for flag in ("--classes", "--docs-per-class")),
 ])
 def test_flags_a_command_would_ignore_are_usage_errors(tmp_path, capsys, command, flag):
     # stats and oracle write no file; oracle is always exhaustive; recon's
-    # document pointers cost 1 under every scheme
+    # document pointers cost 1 under every scheme; features --bon solves no
+    # program; eval reads the corpus options of --input only, and the
+    # synthetic fixture's only without it
     values = {"--out": str(tmp_path / "o"), "--seed": "1", "--tau": "0", "--lambda": "1",
-              "--alpha": "1", "--dict-cost": "constant"}
-    argv = [command, write_corpus_file(tmp_path, "docs.txt", ["abab", "baba"]),
-            "--min-count", "1", flag] + ([values[flag]] if flag in values else [])
+              "--alpha": "1", "--dict-cost": "constant", "--max-len": "4", "--mode": "token",
+              "--classes": "2", "--docs-per-class": "9"}
+    paths = {"docs": write_corpus_file(tmp_path, "docs.txt", ["abab", "baba", "abab", "baba"]),
+             "labels": write_corpus_file(tmp_path, "labels.txt", ["0", "0", "1", "1"])}
+    argv = command.format(**paths).split()
+    outright = len(argv) == 1  # a bare command has no such option at all
+    if outright:
+        argv += [paths["docs"], "--min-count", "1"]
+    argv += [flag] + ([values[flag]] if flag in values else [])
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 1
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (f"unrecognized arguments: {flag}" if outright else f"ignores {flag} here") in err
 
 
 def test_eval_reports_accuracies(tmp_path, capsys):

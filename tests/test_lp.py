@@ -16,8 +16,8 @@ from deepdict.model import (DICT_CHAR, DICT_STRING, DOCUMENT, Pointer, build_mod
 from deepdict.pipeline import CompressJob, bon_compress, compress
 from deepdict.recon import Interval, ReconInstance, ReconResult, solve_dp
 
-from oracles import (GE, LE, dense_program, ladder_texts, naive_exact, pointer_is_valid,
-                     solve_dense)
+from oracles import (GE, LE, dense_program, epsilon_rounding, ladder_texts, naive_exact,
+                     pointer_is_valid, solve_dense)
 
 SNAP = 1e-6
 
@@ -415,6 +415,20 @@ def test_exact_pinned_on_seeded_models():
     assert got == PINNED_EXACT
 
 
+def test_bound_below_lp_and_exact_optimum():
+    # the weak-duality bound from HiGHS's duals: never above the LP value or
+    # the binary optimum, with or without cut rows, and equal to the LP
+    # value up to float error
+    for seed in PINNED_EXACT:
+        model, _ = pinned_exact_case(seed)
+        optimum = exact_solve(model).objective
+        for cuts in (False, True) if seed % 5 != 4 else (False,):
+            solution = solve_lp(build_lp(model, cuts=cuts))
+            assert solution.bound <= solution.objective + 1e-9
+            assert solution.bound <= optimum + 1e-9
+            assert solution.bound == pytest.approx(solution.objective, abs=1e-9)
+
+
 def test_exact_prefers_smaller_dictionary_on_ties():
     # with free membership and free reconstruction, many dictionaries tie;
     # the reported one must be minimal
@@ -707,15 +721,51 @@ def test_round_from_fractional_vertex_mid_path():
     assert comp.objective >= solution.objective - 1e-7
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(lp, name)
+    monkeypatch.setattr(lp, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_prune_stops_at_the_bound(monkeypatch):
+    # the rounding costs 9 and the bound is 6; the first trial that reaches
+    # 6 ends the search, with the compression the full search ends at
+    model = model_for(["bababbab"], 4, 1)
+    solution = solve_lp(build_lp(model))
+    raw = epsilon_rounding(solution, model)
+    assert (raw.objective, solution.bound) == (9.0, 6.0)
+    trials = _counting(monkeypatch, "_solve_members")
+    full = prune_descent(raw, model)
+    searched = len(trials)
+    trials.clear()
+    bounded = prune_descent(raw, model, solution.bound)
+    assert len(trials) < searched
+    assert (bounded.fingerprint(), bounded.objective) == (full.fingerprint(), 6.0)
+    assert round_to_compression(solution, model) == bounded
+
+
+def test_prune_runs_when_the_bound_falls_just_short(monkeypatch):
+    # the 10-doc ladder rounds to its LP bound, so rounding skips the
+    # prune; a bound lower by more than the margin brings it back, with
+    # the same compression
+    model = model_for(ladder_texts(10, random.Random(0)), 4, 2)
+    solution = solve_lp(build_lp(model))
+    raw = epsilon_rounding(solution, model)
+    prunes = _counting(monkeypatch, "prune_descent")
+    for below, runs in ((0.5 * lp.BOUND_MARGIN, 0), (2 * lp.BOUND_MARGIN, 1)):
+        prunes.clear()
+        comp = round_to_compression(replace(solution, bound=raw.objective - below), model)
+        assert len(prunes) == runs
+        assert comp == raw
+
+
 def test_prune_descent_never_worsens():
     rng = random.Random(8)
     for _ in range(10):
         text = "".join(rng.choice("abc") for _ in range(rng.randint(4, 12)))
         model = model_for([text], 4, 1)
-        solution = solve_lp(build_lp(model))
-        members = {cid for cid in range(len(model.candidates))
-                   if solution.string_value(cid) > lp.ROUND_EPS}
-        raw = lp._assemble(model, *lp._solve_members(model, members))
+        raw = epsilon_rounding(solve_lp(build_lp(model)), model)
         improved = prune_descent(raw, model)
         assert improved.objective <= raw.objective + 1e-12
         assert not compression_errors(improved, model)

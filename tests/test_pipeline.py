@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import pytest
 
+from deepdict import lp as lp_module
 from deepdict import model as model_module
+from deepdict import pipeline
 from deepdict.corpus import CHAR, enumerate_candidates, ingest
 from deepdict.errors import InvalidParam
 from deepdict.lp import (build_lp, compression_errors, exact_solve, round_to_compression,
@@ -12,7 +14,8 @@ from deepdict.lp import (build_lp, compression_errors, exact_solve, round_to_com
 from deepdict.model import DICT_CHAR, build_model
 from deepdict.pipeline import CompressJob, bon_compress, compress, path_sweep
 
-from oracles import alpha_depth_check, bon_counts, labelled_ladder, ladder_texts
+from oracles import (alpha_depth_check, bon_counts, labelled_ladder, ladder_texts,
+                     reference_compress)
 
 
 def job_for(texts, **kwargs):
@@ -322,3 +325,47 @@ def test_path_sweep_pinned_on_ladder():
     assert result.fingerprints == ["ee7edc1b1dee8640", "9cf57320f53e28ed", "908e8db649bf1f78",
                                    "5cf20029e7847bc7", "5cf20029e7847bc7"]
     assert [repr(o) for o in result.objectives] == ["24.0", "30.6875", "35.125", "43.25", "57.5"]
+
+
+def _ladder_job(n_docs, **kwargs):
+    return job_for(ladder_texts(n_docs, random.Random(0)), max_len=4, min_count=2, **kwargs)
+
+
+LAMBDA_PATH = [0.0, 0.25, 0.5, 1.0, 2.0]
+
+
+def test_compress_matches_reference_without_skips():
+    # the bound only skips work whose result compress would discard
+    jobs = [pinned_compress_job(seed) for seed in PINNED_COMPRESS]
+    jobs.append(job_for(["bbaaaacaabaacbac", "cbbaccc"], max_len=4, min_count=1,
+                        tau=0.25, lam=0.5, alpha=1.0, cuts=True))
+    jobs += [_ladder_job(10), _ladder_job(20)]
+    jobs += [_ladder_job(5, lam=lam, cuts=True) for lam in LAMBDA_PATH]
+    for job in jobs:
+        comp, _, _ = compress(job)
+        reference = reference_compress(job)
+        assert (comp.fingerprint(), repr(comp.objective)) == (
+            reference.fingerprint(), repr(reference.objective))
+
+
+def _count(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_rounding_at_the_bound_skips_prune_and_shallow_half(monkeypatch):
+    # the 10-doc ladder rounds to its LP value: one solve, no prune
+    solves = _count(monkeypatch, pipeline, "solve_lp")
+    prunes = _count(monkeypatch, lp_module, "prune_descent")
+    compress(_ladder_job(10))
+    assert (len(solves), len(prunes)) == (1, 0)
+    # on the lambda path the shallow half is solved wherever the deep
+    # rounding leaves a gap (every lambda > 0), but its bound is above the
+    # deep result there, so it is never rounded
+    rounds = _count(monkeypatch, pipeline, "round_to_compression")
+    solves.clear()
+    corpus = ingest(ladder_texts(5, random.Random(0)), CHAR)
+    path_sweep(corpus, CompressJob(corpus, max_len=4, min_count=2, cuts=True), LAMBDA_PATH)
+    assert (len(solves), len(rounds)) == (9, 5)

@@ -118,6 +118,33 @@ def test_random_lps_against_enumeration():
             assert res.status in ("infeasible", "optimal")
 
 
+
+def test_dual_bound_holds_for_any_row_prices():
+    # HiGHS's own duals give the optimum; any other row prices, of either
+    # sign and on rows of every bound type, give a lower bound, also with
+    # unbounded columns
+    rng = np.random.default_rng(4)
+    for _ in range(60):
+        n, m = rng.integers(1, 6), rng.integers(1, 5)
+        rows = rng.integers(-2, 3, size=(m, n)).astype(float)
+        row_idx, col_idx = np.nonzero(rows)
+        row_lower = np.where(rng.random(m) < 0.3, -np.inf, rng.integers(-2, 2, size=m))
+        row_upper = np.where(rng.random(m) < 0.3, np.inf, row_lower + rng.integers(0, 3, size=m))
+        row_upper = np.where(np.isinf(row_lower) & np.isinf(row_upper), 1.0, row_upper)
+        upper = np.where(rng.random(n) < 0.2, np.inf, 1.0)
+        program = simplex.SparseProgram(
+            rng.integers(-3, 4, size=n).astype(float), np.zeros(n), upper, row_lower,
+            row_upper, *simplex.csc(n, row_idx, col_idx, rows[row_idx, col_idx]))
+        res = simplex.run(program)
+        if res.status != "optimal":
+            assert res.row_dual is None
+            continue
+        assert simplex.dual_bound(program, res.row_dual) == pytest.approx(res.objective,
+                                                                          abs=1e-9)
+        for y in (rng.normal(size=m), rng.normal(size=m) * 10, np.zeros(m)):
+            assert simplex.dual_bound(program, y) <= res.objective + 1e-9
+
+
 LOADER_CHECK = """
 import sys
 from deepdict import simplex

@@ -1,8 +1,10 @@
 """The shipped package holds only what the program runs: every module-level
 function and class under src/deepdict is referenced by name somewhere else
 in the package, or is a console-script entry point.  Reference forms that
-only tests call belong in tests/oracles.py.  Likewise every option a
-subcommand declares is read by the command's handler."""
+only tests call belong in tests/oracles.py.  Every field of a dataclass in
+the package is read as an attribute by the package, or by the benchmark
+(perfbench/*.py), which uses the package as its API.  Likewise every option
+a subcommand declares is read by the command's handler."""
 
 import argparse
 import ast
@@ -28,21 +30,26 @@ def _used_names(node):
     return counts
 
 
+def _parse_all(pattern):
+    trees = []
+    for path in sorted(glob.glob(pattern)):
+        with open(path, encoding="utf-8") as fh:
+            trees.append(ast.parse(fh.read(), path))
+    return trees
+
+
 def unreferenced_definitions(package_dir, pyproject):
     """Names of module-level functions and classes under package_dir that
     nothing outside their own definition uses, sorted."""
-    trees = {}
-    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            trees[path] = ast.parse(fh.read(), path)
+    trees = _parse_all(os.path.join(package_dir, "*.py"))
     used = collections.Counter()
-    for tree in trees.values():
+    for tree in trees:
         used += _used_names(tree)
     with open(pyproject, "rb") as fh:
         scripts = tomllib.load(fh)["project"].get("scripts", {})
     used.update(target.rpartition(":")[2] for target in scripts.values())
     unused = []
-    for tree in trees.values():
+    for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if used[node.name] == _used_names(node)[node.name]:
@@ -53,6 +60,40 @@ def unreferenced_definitions(package_dir, pyproject):
 def test_every_definition_is_used_by_the_package():
     assert unreferenced_definitions(os.path.join(ROOT, "src", "deepdict"),
                                     os.path.join(ROOT, "pyproject.toml")) == []
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(package_dir, reader_patterns):
+    """(class, field) pairs of the dataclasses under package_dir whose field
+    no code under package_dir or in the files matching reader_patterns
+    reads as an attribute, sorted."""
+    package = _parse_all(os.path.join(package_dir, "*.py"))
+    read = set()
+    for tree in package + [t for pattern in reader_patterns for t in _parse_all(pattern)]:
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = []
+    for tree in package:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unread += [(node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)
+                           and item.target.id not in read]
+    return sorted(unread)
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(os.path.join(ROOT, "src", "deepdict"),
+                         [os.path.join(ROOT, "perfbench", "*.py")]) == []
 
 
 def _options_read(functions, name, param, seen):
