@@ -1,17 +1,16 @@
 """Command-line interface.
 
-Commands: compress, features, path, eval, oracle, stats, recon.  A command
-takes only the options it reads: recon the corpus options, oracle also the
-costs, stats also --cuts and --exact, the others also --out and --seed.
-An option a command ignores in some configuration is a usage error there
-(_IGNORED): features --bon takes no cost or solver option and no
---fractional, eval takes --mode only with --input, and --classes and
---docs-per-class only without it.
+Commands: compress, features, bon, path, eval, demo, oracle, stats, recon.
+Each parser declares exactly the options its handler reads: recon the
+corpus options, oracle also the costs, stats also --cuts and --exact,
+compress, features and path also --out.  bon writes the features of the
+all-n-grams landmark, with no costs and no solve; eval scores a labelled
+corpus and demo a synthetic one.
 Every output file starts with a header holding the version and the run
 configuration; identical configurations give byte-identical files.
 
-Exit codes: 0 success, 1 usage, 2 infeasible or data error, 3 numerical
-failure.
+Exit codes: 0 success, 1 usage, 2 infeasible, data error or out of
+memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -58,11 +57,15 @@ def _grid(text: str) -> str:
     return text
 
 
+def _add_lengths(p: _Parser) -> None:
+    p.add_argument("--max-len", type=int, default=4, dest="max_len")
+    p.add_argument("--min-count", type=int, default=2, dest="min_count")
+
+
 def _add_corpus(p: _Parser) -> None:
     p.add_argument("input", help="corpus file (one document per line) or directory")
     p.add_argument("--mode", choices=["char", "token"], default="char")
-    p.add_argument("--max-len", type=int, default=4, dest="max_len")
-    p.add_argument("--min-count", type=int, default=2, dest="min_count")
+    _add_lengths(p)
 
 
 def _add_costs(p: _Parser) -> None:
@@ -85,7 +88,19 @@ def _add_solve(p: _Parser) -> None:
 def _add_common(p: _Parser) -> None:
     _add_solve(p)
     p.add_argument("--out", default=".", help="output directory")
+
+
+def _add_flat(p: _Parser) -> None:
+    p.add_argument("--flat", action="store_true", help="also write the diffused matrix")
+    p.add_argument("--rho", type=float, default=1.0)
+
+
+def _add_harness(p: _Parser) -> None:
+    p.add_argument("--resamples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambda", type=float, default=1.0, dest="lam")
+    p.add_argument("--bon", type=int, default=4, metavar="K")
+    p.add_argument("--out", default=".", help="output directory")
 
 
 def _build_parser() -> _Parser:
@@ -97,37 +112,34 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("features", help="write feature matrices for a corpus")
     _add_common(p)
-    p.add_argument("--bon", type=int, default=0, metavar="K",
-                   help="use the all-n-grams landmark at length K instead of the LP")
-    p.add_argument("--flat", action="store_true", help="also write the diffused matrix")
-    p.add_argument("--rho", type=float, default=1.0)
+    _add_flat(p)
     p.add_argument("--fractional", action="store_true",
                    help="also export real-valued matrices from the relaxation "
                         "solution, before rounding")
     p.add_argument("--normalize", action="store_true",
                    help="scale the fractional diffusion rows by 1/t")
 
+    p = sub.add_parser("bon", help="write the all-n-grams landmark's features")
+    _add_corpus(p)
+    p.add_argument("--out", default=".", help="output directory")
+    _add_flat(p)
+
     p = sub.add_parser("path", help="sweep the dictionary pointer cost")
     _add_common(p)
     p.add_argument("--grid", required=True, type=_grid,
                    help="comma-separated ascending lambda values")
 
-    p = sub.add_parser("eval", help="classifier harness on a synthetic corpus "
-                                    "or a labeled input corpus")
-    p.add_argument("--input", default=None,
-                   help="corpus file/directory; omit to use the synthetic fixture")
-    p.add_argument("--labels", default=None,
+    p = sub.add_parser("eval", help="classifier harness on a labelled corpus")
+    _add_corpus(p)
+    p.add_argument("--labels", required=True,
                    help="label file, one integer per document line")
-    p.add_argument("--mode", choices=["char", "token"], default="char")
+    _add_harness(p)
+
+    p = sub.add_parser("demo", help="classifier harness on a synthetic corpus")
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--docs-per-class", type=int, default=5, dest="docs_per_class")
-    p.add_argument("--resamples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=4, dest="max_len")
-    p.add_argument("--min-count", type=int, default=2, dest="min_count")
-    p.add_argument("--lambda", type=float, default=1.0, dest="lam")
-    p.add_argument("--bon", type=int, default=4, metavar="K")
-    p.add_argument("--out", default=".")
+    _add_lengths(p)
+    _add_harness(p)
 
     p = sub.add_parser("oracle", help="exhaustive binary optimum on a tiny corpus")
     _add_costs(p)
@@ -198,13 +210,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_features(args: argparse.Namespace) -> int:
-    corpus = read_corpus(args.input, args.mode)
-    if args.bon:
-        comp, report, model = bon_compress(corpus, args.bon, args.min_count)
-    else:
-        comp, report, model = compress(_job(args, corpus))
-    header = _config_header(args, "features")
+def _write_features(args: argparse.Namespace, comp, model, header: list[str]) -> str:
+    """Write X, G, the names, the DAG and, with --flat, Xhat; return a summary."""
     space = feature_space(comp, model)
     x = top_features(comp, model, space)
     g = dict_matrix(comp, model, space)
@@ -217,6 +224,14 @@ def cmd_features(args: argparse.Namespace) -> int:
         xhat = diffuse(x, g, rho=args.rho)
         write_matrix(os.path.join(args.out, "Xhat.mtx"), xhat,
                      header + [f"flat: rho={args.rho:.9g}"])
+    return f"features: {space.size} columns, {x.nnz} document nonzeros"
+
+
+def cmd_features(args: argparse.Namespace) -> int:
+    corpus = read_corpus(args.input, args.mode)
+    comp, report, model = compress(_job(args, corpus))
+    header = _config_header(args, "features")
+    summary = _write_features(args, comp, model, header)
     if args.fractional:
         # the deep relaxation compress solved; an exact run solved none
         solution = report.solution or solve_lp(build_lp(model, cuts=args.cuts))
@@ -235,7 +250,14 @@ def cmd_features(args: argparse.Namespace) -> int:
             write_matrix(os.path.join(args.out, "Xfrac_hat.mtx"), fxhat,
                          frac_header + [f"flat: rho={args.rho:.9g} "
                                         f"normalized={str(args.normalize).lower()}"])
-    print(f"features: {space.size} columns, {x.nnz} document nonzeros")
+    print(summary)
+    return 0
+
+
+def cmd_bon(args: argparse.Namespace) -> int:
+    corpus = read_corpus(args.input, args.mode)
+    comp, _, model = bon_compress(corpus, args.max_len, args.min_count)
+    print(_write_features(args, comp, model, _config_header(args, "bon")))
     return 0
 
 
@@ -263,20 +285,8 @@ def cmd_path(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    if args.input is not None:
-        if args.labels is None:
-            raise DimensionMismatch("--input requires --labels")
-        corpus = read_corpus(args.input, args.mode)
-        labels = learn.read_labels(args.labels)
-        if len(labels) != len(corpus.docs):
-            raise DimensionMismatch(
-                f"{len(labels)} labels for {len(corpus.docs)} documents")
-    else:
-        texts, labels = learn.synthetic_phrase_corpus(args.classes,
-                                                      args.docs_per_class,
-                                                      args.seed)
-        corpus = ingest(texts, CHAR)
+def _evaluate(args: argparse.Namespace, corpus, labels: list[int], command: str) -> int:
+    """Score the compression's and the all-n-grams features; write eval.txt."""
     comp, _, model = compress(CompressJob(corpus, max_len=args.max_len,
                                           min_count=args.min_count, lam=args.lam))
     top = top_features(comp, model)
@@ -289,13 +299,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
         lines.append(f"{name}_nb_accuracy: {scores['nb_accuracy']:.4f}")
         lines.append(f"{name}_centroid_accuracy: {scores['centroid_accuracy']:.4f}")
         lines.append(f"baseline: {scores['majority_baseline']:.4f}")
-    header = _config_header(args, "eval")
+    header = _config_header(args, command)
     os.makedirs(args.out, exist_ok=True)
     _write_lines(os.path.join(args.out, "eval.txt"),
                  [f"# {line}" for line in header] + lines)
     for line in lines:
         print(line)
     return 0
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    corpus = read_corpus(args.input, args.mode)
+    labels = learn.read_labels(args.labels)
+    if len(labels) != len(corpus.docs):
+        raise DimensionMismatch(f"{len(labels)} labels for {len(corpus.docs)} documents")
+    return _evaluate(args, corpus, labels, "eval")
+
+
+def cmd_demo(args: argparse.Namespace) -> int:
+    texts, labels = learn.synthetic_phrase_corpus(args.classes, args.docs_per_class,
+                                                  args.seed)
+    return _evaluate(args, ingest(texts, CHAR), labels, "demo")
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -319,11 +343,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_recon(args: argparse.Namespace) -> int:
     corpus = read_corpus(args.input, args.mode)
+    if not 0 <= args.doc < len(corpus.docs):
+        raise InvalidParam(f"no document {args.doc}")
     # document pointers cost 1 under every scheme: no cost option applies
     model = build_job_model(CompressJob(corpus, max_len=args.max_len,
                                         min_count=args.min_count))
-    if not 0 <= args.doc < len(corpus.docs):
-        raise InvalidParam(f"no document {args.doc}")
     instance = model.recon_instances[0][args.doc]
     print(f"target: {corpus.doc_text(args.doc)}")
     print(f"intervals: {len(instance.intervals)}")
@@ -340,48 +364,15 @@ def cmd_recon(args: argparse.Namespace) -> int:
     return 0
 
 
-# options a command ignores in some configuration, each a usage error there:
-# (command, whether the configuration holds, option dests, why)
-_IGNORED = (
-    ("features", lambda args: args.bon, ("fractional",),
-     "it exports the LP relaxation, which --bon does not solve"),
-    ("features", lambda args: args.bon,
-     ("max_len", "tau", "lam", "alpha", "cfl", "dict_cost", "cuts", "exact"),
-     "--bon K takes every n-gram up to length K, with no costs and no LP"),
-    ("eval", lambda args: args.input is None, ("mode",),
-     "without --input the synthetic fixture is always read as characters"),
-    ("eval", lambda args: args.input is not None, ("classes", "docs_per_class"),
-     "--input replaces the synthetic fixture they shape"),
-)
-
-
-def _given(argv: list[str] | None) -> dict[str, str]:
-    """The options argv gives, whatever their values, as dest -> option
-    string: argv parsed again with every subcommand default suppressed."""
-    probe = _build_parser()
-    flags = {}
-    for action in probe._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                for option in sub._actions:
-                    option.default = argparse.SUPPRESS
-                    flags[option.dest] = max(option.option_strings, key=len, default="")
-    return {dest: flags[dest] for dest in vars(probe.parse_args(argv)) if dest in flags}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    given = _given(argv)
-    for command, applies, dests, why in _IGNORED:
-        ignored = [given[dest] for dest in dests if dest in given]
-        if args.command == command and ignored and applies(args):
-            parser.error(f"{command} ignores {', '.join(ignored)} here: {why}")
+    args = _build_parser().parse_args(argv)
     handlers = {
         "compress": cmd_compress,
         "features": cmd_features,
+        "bon": cmd_bon,
         "path": cmd_path,
         "eval": cmd_eval,
+        "demo": cmd_demo,
         "oracle": cmd_oracle,
         "stats": cmd_stats,
         "recon": cmd_recon,
@@ -396,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
         return DATA_EXIT
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return DATA_EXIT
+    except MemoryError:
+        print("TooLarge: out of memory", file=sys.stderr)
         return DATA_EXIT
 
 

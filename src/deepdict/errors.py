@@ -22,7 +22,7 @@ class Infeasible(DeepdictError):
 
 
 class TooLarge(DeepdictError):
-    """The instance exceeds a stated exhaustive-search limit."""
+    """The instance exceeds a size limit, or the memory to solve it."""
 
 
 class NumericalFailure(DeepdictError):

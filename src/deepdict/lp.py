@@ -196,7 +196,11 @@ def solve_lp(lp: LPInstance) -> LPSolution:
     # coverable rows and [0, 1] variables make the program feasible and
     # bounded, so any other status is a solver failure
     program = sparse_program(lp)
-    result = simplex.run(program)
+    try:
+        result = simplex.run(program)
+    except MemoryError:
+        raise TooLarge(f"out of memory solving the relaxation: {lp.n_rows} rows, "
+                       f"{lp.n_vars} columns") from None
     if result.status != "optimal":
         raise NumericalFailure(f"the relaxation came back {result.status}")
     return LPSolution(result.x, result.objective, simplex.dual_bound(program, result.row_dual),

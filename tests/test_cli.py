@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from deepdict import cli, simplex
-from deepdict.pipeline import PathResult
+from deepdict import cli, pipeline, simplex
+from deepdict.corpus import read_corpus
+from deepdict.lp import build_lp
+from deepdict.pipeline import CompressJob, PathResult, build_job_model
 
 from oracles import bon_counts, labelled_ladder, ladder_texts, read_matrix, same_entries
 
@@ -114,6 +116,34 @@ def test_compress_solver_iteration_limit_exits_3(tmp_path, monkeypatch, capsys):
     assert "iteration limit" in capsys.readouterr().err.lower()
 
 
+def test_solver_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # the solver's MemoryError is reported with the size of the program
+    inp = write_corpus_file(tmp_path, "c.txt", ["aabaabaax", "abaabax"])
+    lp = build_lp(build_job_model(CompressJob(read_corpus(inp, "char"))))
+
+    def run(program):
+        raise MemoryError("std::bad_alloc")
+
+    monkeypatch.setattr(simplex, "run", run)
+    assert cli.main(["compress", inp, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert (f"TooLarge: out of memory solving the relaxation: {lp.n_rows} rows, "
+            f"{lp.n_vars} columns") in err
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_elsewhere_exits_2(tmp_path, monkeypatch, capsys):
+    inp = write_corpus_file(tmp_path, "c.txt", ["aabaabaax", "abaabax"])
+
+    def build(job):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "build_job_model", build)
+    assert cli.main(["compress", inp, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "TooLarge: out of memory" in err and "Traceback" not in err
+
+
 def test_compress_report_independent_of_blas_threads(tmp_path):
     # the 10-document corpus ladder with cuts, compressed in two fresh
     # processes at one and at two OpenBLAS threads
@@ -157,7 +187,7 @@ def test_usage_error_exits_1():
 def test_features_bon_matches_counter(tmp_path):
     inp = write_corpus_file(tmp_path, "abab.txt", ["abab"])
     out = str(tmp_path / "feat")
-    assert cli.main(["features", inp, "--bon", "2", "--min-count", "1",
+    assert cli.main(["bon", inp, "--max-len", "2", "--min-count", "1",
                      "--out", out]) == 0
     x = read_matrix(os.path.join(out, "X.mtx"))
     names = [ln for ln in read_file(os.path.join(out, "features.txt")).splitlines()
@@ -190,15 +220,15 @@ def test_features_non_finite_diffusion_exits_3(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
-# sha256 of the matrices that the dict-of-keys SparseMatrix, before the
-# coordinate-array form, wrote for the run in the test below
+# sha256 of the matrices of the run in the test below; their bodies are
+# those the dict-of-keys SparseMatrix, before the coordinate-array form, wrote
 PINNED_FRACTIONAL_FILES = {
-    "X.mtx": "cd98e4294913707022b91b8510900bfc2a3190adfe0f5a7542ccd29de153e15c",
-    "G.mtx": "d2e23dc47011cf6e5663cc4f1aa42115e21f678ee12ff6f7a3374881ed201b33",
-    "Xhat.mtx": "1fdf3ca23124c4f7a4cebd42a400188bac7abdb97980f681e8b61570f71a6146",
-    "Xfrac.mtx": "9b3f95a0e2cd30b786fbcee14da8f696be2f58bfbb04cbc1834cdd5769da7747",
-    "Gfrac.mtx": "ba6bb78561c018403c47f30536024459d1a2b05b75cac86605045119505f457e",
-    "Xfrac_hat.mtx": "3e69d96a90ccae2ac0e8143cc96e64a3ac07416e93cd9a9cc9f4f46cd371d30c",
+    "X.mtx": "ea5377a586bd0feb4a43a076205393b0682413f55125827af256b37bafef4b45",
+    "G.mtx": "aaa0f66621e9050f2250fca9a0378c03ab21d707a9ead52d557c52e53f9db91a",
+    "Xhat.mtx": "058d82ae9d620e7aad227d77c246442725d5efc07d6c81dfe28057b2dc1e4826",
+    "Xfrac.mtx": "bd157c6d9659c1f68484dcade6efbc1d4291e916d609a68ff6a267547edfef9c",
+    "Gfrac.mtx": "65c8852fb574114929be901fb6af8d961383bc5044a31acb0b556f23ef301528",
+    "Xfrac_hat.mtx": "a8a46b098b886fc1fcc4464088ba5e253e3734af8d8b742c48f922c4f87359ea",
 }
 
 
@@ -215,11 +245,11 @@ def test_features_fractional_files_pinned(tmp_path, monkeypatch):
 
 
 PINNED_BON_FILES = {
-    "X.mtx": "08bfe66f6ccae24f22d429ddd663eb4e43d35cca43f519f4f7d66b8c44af89ed",
-    "G.mtx": "b51d4e7fa347f8afe59cff98a70e6d6e05771838f1d78ec153876f6474291493",
-    "Xhat.mtx": "b2e48aad2f954b20adec38c71f9e91fb5454dff4a6fad12cf33b0c12788ec7cf",
-    "features.txt": "b46479e5bbca344a36216d86f2a1b155f475afc9a3fae95710f0287637a7d78e",
-    "dag.txt": "8a9296a32d901a46156a32350cf21d02db0d76df3d7cd2e1440db353d1a3b70c",
+    "X.mtx": "fb1a7526b23288312953e415adad29452989686f397629b96e13d05639dcbd91",
+    "G.mtx": "48146679df263f6b91d19ecb83df7fbcaf309182bbea8b2cf8b9af737da01b43",
+    "Xhat.mtx": "711e6f49c074a78e45c32b07cf0ad58a7dac339bf223b4583581375619c9e0b0",
+    "features.txt": "66001f768be3071ae7d0afce5e24df6fb14e18e5a7339117ffb5ed8fce3c1ec7",
+    "dag.txt": "a2e416e3ea38bf30287f644a4360c4c329e241ac612a657aeb459e9439b57ed3",
 }
 
 
@@ -227,7 +257,7 @@ def test_features_bon_files_pinned(tmp_path, monkeypatch):
     # the 60-document labelled ladder; relative paths keep the headers fixed
     monkeypatch.chdir(tmp_path)
     write_corpus_file(tmp_path, "corpus.txt", labelled_ladder(60, 0, 0.7)[0])
-    assert cli.main(["features", "corpus.txt", "--bon", "4", "--min-count", "1",
+    assert cli.main(["bon", "corpus.txt", "--max-len", "4", "--min-count", "1",
                      "--flat", "--out", "bon"]) == 0
     digests = {name: hashlib.sha256((tmp_path / "bon" / name).read_bytes()).hexdigest()
                for name in PINNED_BON_FILES}
@@ -239,7 +269,7 @@ def test_compression_json_pinned_on_ladder(tmp_path, monkeypatch):
     write_corpus_file(tmp_path, "corpus.txt", ladder_texts(20, random.Random(0)))
     assert cli.main(["compress", "corpus.txt", "--out", "comp"]) == 0
     digest = hashlib.sha256((tmp_path / "comp" / "compression.json").read_bytes()).hexdigest()
-    assert digest == "b59b347cd7c25df509bee7ee9d6b04ce56550034e048493e2d4434781dd3cda8"
+    assert digest == "185952b2a8a7f562dad5503273c5376438507a335f00b14199eff9fab5a13617"
 
 
 def test_features_fractional_rounds_like_features(tmp_path):
@@ -342,7 +372,7 @@ def test_eval_labeled_input(tmp_path):
     labels = tmp_path / "labels.txt"
     labels.write_text("0\n0\n1\n1\n", encoding="utf-8")
     out = str(tmp_path / "ev")
-    code = cli.main(["eval", "--input", inp, "--labels", str(labels),
+    code = cli.main(["eval", inp, "--labels", str(labels),
                      "--resamples", "4", "--min-count", "2", "--bon", "2",
                      "--out", out])
     assert code == 0
@@ -353,27 +383,29 @@ def test_eval_label_mismatch_exits_2(tmp_path):
     inp = write_corpus_file(tmp_path, "docs.txt", ["abab", "baba"])
     labels = tmp_path / "labels.txt"
     labels.write_text("0\n", encoding="utf-8")
-    assert cli.main(["eval", "--input", inp, "--labels", str(labels),
+    assert cli.main(["eval", inp, "--labels", str(labels),
                      "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("argv,code,message", [
     (["path", "{docs}", "--grid", "1,a"], 1, "usage error"),
     (["path", "{docs}", "--grid", ","], 1, "usage error"),
-    (["eval", "--input", "{docs}", "--labels", "{labels}"], 2, "labels must be integers"),
+    (["eval", "{docs}", "--labels", "{labels}"], 2, "labels must be integers"),
     # no resample means no classifier ran, so there is no accuracy to print
-    (["eval", "--resamples", "0", "--max-len", "3", "--bon", "2"], 2, "at least one resample"),
-    (["eval", "--resamples", "-1", "--max-len", "3", "--bon", "2"], 2, "at least one resample"),
+    (["demo", "--resamples", "0", "--max-len", "3", "--bon", "2"], 2, "at least one resample"),
+    (["demo", "--resamples", "-1", "--max-len", "3", "--bon", "2"], 2, "at least one resample"),
     # the landmark is assembled without a solve, so it has no relaxation to export
-    (["features", "{docs}", "--bon", "2", "--fractional"], 1, "usage error"),
+    (["bon", "{docs}", "--max-len", "2", "--fractional"], 1, "usage error"),
     (["path", "{docs}", "--grid", "nan"], 1, "usage error"),
     (["path", "{docs}", "--grid", "1,inf"], 1, "usage error"),
     # the exhaustive branch checks cuts as the LP does
     (["compress", "{docs}", "--min-count", "1", "--cuts", "--dict-cost", "length", "--exact"],
      2, "equivalence cuts require the symmetric cost scheme"),
     # every split tests each class on at least one document, so it needs two
-    (["eval", "--input", "{trio}", "--labels", "{lonely}", "--min-count", "1", "--bon", "2"],
+    (["eval", "{trio}", "--labels", "{lonely}", "--min-count", "1", "--bon", "2"],
      2, "class 1 has one document; each class needs at least two documents"),
+    # a landmark of length 0 has no n-gram to count
+    (["bon", "{docs}", "--max-len", "0"], 2, "max_len must be >= 1"),
 ])
 def test_bad_values_end_with_documented_code(tmp_path, capsys, argv, code, message):
     paths = {"docs": write_corpus_file(tmp_path, "docs.txt", ["abab", "baba"]),
@@ -394,39 +426,53 @@ def test_bad_values_end_with_documented_code(tmp_path, capsys, argv, code, messa
     ("oracle", "--out"), ("oracle", "--seed"), ("oracle", "--exact"), ("oracle", "--cuts"),
     *(("recon", flag) for flag in ("--tau", "--lambda", "--alpha", "--dict-cost", "--cfl",
                                    "--cuts", "--exact", "--out", "--seed")),
-    # options the command has, but ignores in the configuration set before them
-    *(pytest.param("features {docs} --bon 2", flag, id=f"features-bon-{flag}")
-      for flag in ("--max-len", "--tau", "--lambda", "--alpha", "--cfl", "--dict-cost",
-                   "--cuts", "--exact")),
-    pytest.param("eval --resamples 2", "--mode", id="eval-fixture---mode"),
-    *(pytest.param("eval --input {docs} --labels {labels}", flag, id=f"eval-input-{flag}")
+    *(pytest.param("bon {docs}", flag, id=f"features-bon-{flag}")
+      for flag in ("--tau", "--lambda", "--alpha", "--cfl", "--dict-cost", "--cuts", "--exact")),
+    pytest.param("bon {docs}", "--fractional", id="bon---fractional"),
+    # the old spellings of bon, eval and demo
+    pytest.param("features {docs} --max-len 4", "--bon", id="features-bon---max-len"),
+    pytest.param("eval {docs} --labels {labels}", "--input", id="eval---input"),
+    pytest.param("demo --resamples 2", "--mode", id="eval-fixture---mode"),
+    *(pytest.param("eval {docs} --labels {labels}", flag, id=f"eval-input-{flag}")
       for flag in ("--classes", "--docs-per-class")),
+    ("compress", "--seed"), ("features", "--seed"),
+    pytest.param("path {docs} --grid 1", "--seed", id="path---seed"),
 ])
 def test_flags_a_command_would_ignore_are_usage_errors(tmp_path, capsys, command, flag):
     # stats and oracle write no file; oracle is always exhaustive; recon's
-    # document pointers cost 1 under every scheme; features --bon solves no
-    # program; eval reads the corpus options of --input only, and the
-    # synthetic fixture's only without it
+    # document pointers cost 1 under every scheme; bon solves no program;
+    # eval reads a labelled corpus and demo the synthetic fixture; only
+    # their classifier harness reads a seed
     values = {"--out": str(tmp_path / "o"), "--seed": "1", "--tau": "0", "--lambda": "1",
-              "--alpha": "1", "--dict-cost": "constant", "--max-len": "4", "--mode": "token",
-              "--classes": "2", "--docs-per-class": "9"}
+              "--alpha": "1", "--dict-cost": "constant", "--mode": "token", "--bon": "2",
+              "--input": "{docs}", "--classes": "2", "--docs-per-class": "9"}
     paths = {"docs": write_corpus_file(tmp_path, "docs.txt", ["abab", "baba", "abab", "baba"]),
              "labels": write_corpus_file(tmp_path, "labels.txt", ["0", "0", "1", "1"])}
     argv = command.format(**paths).split()
-    outright = len(argv) == 1  # a bare command has no such option at all
-    if outright:
+    if len(argv) == 1:  # a bare command runs on the test corpus
         argv += [paths["docs"], "--min-count", "1"]
-    argv += [flag] + ([values[flag]] if flag in values else [])
+    argv += [flag] + ([values[flag].format(**paths)] if flag in values else [])
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert (f"unrecognized arguments: {flag}" if outright else f"ignores {flag} here") in err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["eval", "--resamples", "2"], "input, --labels"),  # the fixture is demo now
+    (["eval", "{docs}"], "--labels"),
+])
+def test_eval_requires_a_labelled_corpus(tmp_path, capsys, argv, missing):
+    docs = write_corpus_file(tmp_path, "docs.txt", ["abab", "baba"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(docs=docs) for arg in argv])
+    assert exc.value.code == 1
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
 
 
 def test_eval_reports_accuracies(tmp_path, capsys):
     out = str(tmp_path / "eval")
-    code = cli.main(["eval", "--resamples", "5", "--seed", "3",
+    code = cli.main(["demo", "--resamples", "5", "--seed", "3",
                      "--max-len", "3", "--bon", "2", "--out", out])
     assert code == 0
     text = read_file(os.path.join(out, "eval.txt"))
@@ -437,7 +483,7 @@ def test_eval_reports_accuracies(tmp_path, capsys):
 def test_eval_deterministic(tmp_path):
     out1 = str(tmp_path / "e1")
     out2 = str(tmp_path / "e2")
-    args = ["eval", "--resamples", "4", "--seed", "5", "--max-len", "3",
+    args = ["demo", "--resamples", "4", "--seed", "5", "--max-len", "3",
             "--bon", "2", "--out"]
     assert cli.main(args + [out1]) == 0
     assert cli.main(args + [out2]) == 0

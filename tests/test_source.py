@@ -4,7 +4,8 @@ in the package, or is a console-script entry point.  Reference forms that
 only tests call belong in tests/oracles.py.  Every field of a dataclass in
 the package is read as an attribute by the package, or by the benchmark
 (perfbench/*.py), which uses the package as its API.  Likewise every option
-a subcommand declares is read by the command's handler."""
+a subcommand declares is read by the command's handler; echoing it into
+the output header through vars(args) does not count as reading it."""
 
 import argparse
 import ast
@@ -98,8 +99,8 @@ def test_every_dataclass_field_is_read():
 
 def _options_read(functions, name, param, seen):
     """The attributes of `param` that function `name` reads, directly or in
-    a module-level helper it passes `param` to; vars(param) reads them all,
-    returned as None."""
+    a module-level helper it passes `param` to.  vars(param) reads none:
+    the output header only echoes the options."""
     if (name, param) in seen:
         return set()
     seen.add((name, param))
@@ -108,22 +109,16 @@ def _options_read(functions, name, param, seen):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id == param):
             read.add(node.attr)
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions):
             continue
+        callee = functions[node.func.id]
         passed = list(enumerate(node.args))
         passed += [(kw.arg, kw.value) for kw in node.keywords]
         for where, arg in passed:
-            if not (isinstance(arg, ast.Name) and arg.id == param):
-                continue
-            if node.func.id == "vars":
-                return None
-            if node.func.id in functions:
-                callee = functions[node.func.id]
+            if isinstance(arg, ast.Name) and arg.id == param:
                 inner = callee.args.args[where].arg if isinstance(where, int) else where
-                more = _options_read(functions, node.func.id, inner, seen)
-                if more is None:
-                    return None
-                read |= more
+                read |= _options_read(functions, node.func.id, inner, seen)
     return read
 
 
@@ -139,9 +134,8 @@ def unread_options(cli_path, parser):
     for command, sub in commands.items():
         handler = functions["cmd_" + command]
         read = _options_read(functions, handler.name, handler.args.args[0].arg, set())
-        if read is not None:  # None: the handler reads vars(args), every option
-            unread += [(command, action.dest) for action in sub._actions
-                       if action.dest not in read | {"help"}]
+        unread += [(command, action.dest) for action in sub._actions
+                   if action.dest not in read | {"help"}]
     return sorted(unread)
 
 
