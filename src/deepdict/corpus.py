@@ -3,10 +3,10 @@
 Documents are interned over a symbol table (single characters in char mode,
 whitespace-delimited tokens in token mode).  Candidate n-grams are all
 distinct substrings up to a maximum length that occur at least a minimum
-number of times across the corpus; substrings never cross document
-boundaries.  Candidates are enumerated by one scan over every (document,
-start, length) window, and ids are deterministic: sorted by length, then by
-symbol ids.
+number of times across the corpus, and every unigram whatever its count;
+substrings never cross document boundaries.  Candidates are enumerated by
+one scan over every (document, start, length) window, and ids are
+deterministic: sorted by length, then by symbol ids.
 """
 
 from __future__ import annotations
@@ -130,7 +130,6 @@ class CandidateSet:
     strings: list[tuple[int, ...]]
     occurrences: list[list[tuple[int, int]]]
     substring_index: list[list[tuple[int, int]]]
-    min_count: int
     index: dict[tuple[int, ...], int]  # string -> candidate id
 
     def __len__(self) -> int:
@@ -156,7 +155,10 @@ class CandidateSet:
 
 def enumerate_candidates(corpus: Corpus, max_len: int, min_count: int) -> CandidateSet:
     """All distinct substrings of length <= max_len occurring >= min_count
-    times in the corpus, with full occurrence lists."""
+    times in the corpus, and every unigram whatever its count, with full
+    occurrence lists.  Keeping the unigrams lets every document position be
+    covered, as in the model, where any string can be rebuilt from its
+    characters."""
     if max_len < 1:
         raise InvalidParam("max_len must be >= 1")
     if min_count < 1:
@@ -167,7 +169,7 @@ def enumerate_candidates(corpus: Corpus, max_len: int, min_count: int) -> Candid
         for start in range(len(seq)):
             for end in range(start + 1, min(start + max_len, len(seq)) + 1):
                 occs.setdefault(seq[start:end], []).append((doc.id, start + 1))
-    strings = sorted((s for s, o in occs.items() if len(o) >= min_count),
+    strings = sorted((s for s, o in occs.items() if len(o) >= min_count or len(s) == 1),
                      key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(strings)}
     # the scan visits (doc, start) in order, so every list is already sorted
@@ -177,7 +179,7 @@ def enumerate_candidates(corpus: Corpus, max_len: int, min_count: int) -> Candid
                         for start in range(len(s))
                         for end in range(start + 2, len(s) + 1) if end - start < len(s)]
                        for s in strings]
-    return CandidateSet(strings, occurrences, substring_index, min_count, index)
+    return CandidateSet(strings, occurrences, substring_index, index)
 
 
 @dataclass

@@ -18,8 +18,13 @@ Once the dictionary is fixed, the program splits into one interval-cover
 DP per document and per member string.  Each model builds one
 reconstruction instance per target once (ModelInstance.recon_instances);
 _solve_members runs one DP per target on them, which skips the intervals
-whose source is not a member, and rounding, prune_descent and exact_solve
-all evaluate dictionaries through it.  Rounding keeps every candidate with
+whose source is not a member, and rounding and exact_solve evaluate
+dictionaries through it.  prune_descent solves its starting dictionary
+the same way, then keeps every target's result and, per trial, solves
+again only the targets whose result the trial can change; it skips
+without a DP the drop trials that would leave a document position
+uncovered, and prices only the trials that an estimate of their
+objective cannot rule out.  Rounding keeps every candidate with
 membership weight above a snap threshold, re-solves all reconstructions
 restricted to that dictionary, and prunes strings that end up unused
 (taking the transitive closure of use through string-kind reconstruction
@@ -43,6 +48,9 @@ the bound when it costs at most BOUND_MARGIN = 1e-10 more, a tenth of the
 epsilon-rounding that reaches the bound is returned without
 prune_descent, and prune_descent ends its scan and its descent at the
 first trial that reaches it: no later trial could beat either by 1e-9.
+Given the objective of a compression in hand as a cutoff, solve_lp lets
+HiGHS stop once its dual objective passes it, and returns early only
+when the bound of the duals it stopped at reaches the cutoff.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,7 +105,7 @@ class LPInstance:
 @dataclass
 class LPSolution:
     values: np.ndarray
-    objective: float
+    objective: float  # the LP value; nan when the solve stopped at a cutoff
     bound: float  # weak-duality bound from HiGHS's row duals, <= every compression
     basis_summary: dict
     instance: LPInstance
@@ -175,36 +184,53 @@ def sparse_program(lp: LPInstance) -> simplex.SparseProgram:
 
 def check_coverable(model: ModelInstance) -> None:
     """Every document position must admit at least one pointer, which holds
-    exactly when the unigram on that position survived the count filter:
-    no longer n-gram through it occurs more often than the unigram."""
+    exactly when the unigram on that position is a candidate: no longer
+    n-gram through it occurs more often than the unigram.  Candidates from
+    enumerate_candidates keep every unigram, so only a candidate set
+    filtered some other way can fail this."""
     for doc in model.corpus.docs:
         for pos, sym in enumerate(doc.symbols, start=1):
             if (sym,) not in model.candidates.index:
                 raise Infeasible(
                     f"document {doc.id} position {pos} has no covering pointer; "
-                    f"the min-count filter (m={model.candidates.min_count}) removed "
-                    "every candidate there")
+                    "its unigram is not a candidate")
 
 
-def solve_lp(lp: LPInstance) -> LPSolution:
+def solve_lp(lp: LPInstance, cutoff: float | None = None) -> LPSolution:
     """Optimal solution of the instance's relaxation: the full program,
-    built once as CSC arrays, in one HiGHS run."""
+    built once as CSC arrays, in one HiGHS run.  A cutoff is the objective
+    of a compression already in hand.  HiGHS gets it as its objective
+    bound, and where it stops there and the bound certified from the duals
+    it stopped at reaches the cutoff, that solution is returned: only its
+    bound counts, its values are not optimal and its objective is nan.
+    Where that bound falls short, the program is solved again without the
+    cutoff.  Running out of memory raises TooLarge with the program's
+    size."""
     if not lp.model.costs.nonnegative():
         raise InvalidParam("the simplex path requires nonnegative costs; "
                            "negative-cost landmarks are solved by inspection")
     check_coverable(lp.model)
     # coverable rows and [0, 1] variables make the program feasible and
     # bounded, so any other status is a solver failure
-    program = sparse_program(lp)
+    stage = "assembling"
     try:
-        result = simplex.run(program)
+        program = sparse_program(lp)
+        stage = "solving"
+        result = simplex.run(program, cutoff)
+        iterations = result.iterations
+        bound = simplex.dual_bound(program, result.row_dual)
+        if result.status == "objective_bound":
+            if reaches_bound(cutoff, bound):
+                return LPSolution(result.x, math.nan, bound, {"iterations": iterations}, lp)
+            result = simplex.run(program)
+            iterations += result.iterations
+            bound = simplex.dual_bound(program, result.row_dual)
     except MemoryError:
-        raise TooLarge(f"out of memory solving the relaxation: {lp.n_rows} rows, "
+        raise TooLarge(f"out of memory {stage} the relaxation: {lp.n_rows} rows, "
                        f"{lp.n_vars} columns") from None
     if result.status != "optimal":
         raise NumericalFailure(f"the relaxation came back {result.status}")
-    return LPSolution(result.x, result.objective, simplex.dual_bound(program, result.row_dual),
-                      {"iterations": result.iterations}, lp)
+    return LPSolution(result.x, result.objective, bound, {"iterations": iterations}, lp)
 
 
 def reaches_bound(objective: float, bound: float) -> bool:
@@ -256,24 +282,21 @@ def _select(model: ModelInstance, docs: list[ReconResult],
             strings: dict[int, ReconResult]) -> _Selection:
     """Prune to the transitive closure of actual use (the fixed point of
     dropping unused strings) and price the result, on id lists only."""
-    doc_sources, dict_needs = model.needs
-    doc_chosen = [i for res in docs for i in res.chosen]
-    used = {doc_sources[i] for i in doc_chosen}
+    used = set().union(*(res.uses for res in docs))
     frontier = list(used)
     while frontier:
-        cid = frontier.pop()
-        for i in strings[cid].chosen:
-            source = dict_needs[i]
-            if source is not None and source not in used:
-                used.add(source)
-                frontier.append(source)
+        new = strings[frontier.pop()].uses - used
+        used |= new
+        frontier += new
     retained = sorted(used)
-    dict_idx = sorted(i for cid in retained for i in strings[cid].chosen)
-    doc_idx = sorted(doc_chosen)
+    doc_idx = sorted(itertools.chain.from_iterable(res.chosen for res in docs))
+    dict_idx = sorted(itertools.chain.from_iterable(strings[cid].chosen for cid in retained))
+    # summed in ascending id order, one list at a time, whichever results
+    # the lists come from, so that equal selections price to equal floats
     costs = model.costs
-    objective = (sum(costs.doc_costs[i] for i in doc_idx)
-                 + sum(costs.dict_costs[i] for i in dict_idx)
-                 + sum(costs.string_costs[cid] for cid in retained))
+    objective = (sum(map(costs.doc_costs.__getitem__, doc_idx))
+                 + sum(map(costs.dict_costs.__getitem__, dict_idx))
+                 + sum(map(costs.string_costs.__getitem__, retained)))
     return _Selection(retained, doc_idx, dict_idx, objective)
 
 
@@ -299,48 +322,217 @@ def round_to_compression(solution: LPSolution, model: ModelInstance) -> Compress
 
 
 SWAP_BUDGET = 80000  # cap on (moves x pointer universe) for swap/add search
+# a trial whose estimated objective exceeds the one to beat by more than
+# this share of it cannot be accepted: a float sum of N nonnegative costs,
+# the estimate's or _select's, is within N * 2**-53 of it relatively, far
+# inside this for any N below 10**8
+ESTIMATE_SLACK = 1e-6
+
+
+def _users(results: Iterable[tuple[int, ReconResult]]) -> dict[int, list[int]]:
+    """Per string: the targets, of the (target, result) pairs, whose chosen
+    reconstruction uses it."""
+    users: dict[int, list[int]] = {}
+    for target, res in results:
+        for source in res.uses:
+            users.setdefault(source, []).append(target)
+    return users
+
+
+def _essential(model: ModelInstance, members: set[int], doc_first: np.ndarray) -> set[int]:
+    """The members that some document position cannot do without.  Per
+    position, the least and the greatest source among the member-sourced
+    document pointers that cover it are equal exactly when one member
+    covers it alone.  Dropping such a member leaves the position without a
+    pointer, and dropping any other leaves every position a pointer, from
+    which the DP builds a cover (member strings keep their character
+    slots); so a drop trial is infeasible exactly when the member is
+    essential."""
+    ptrs = model.doc_pointers
+    member = np.zeros(len(model.candidates), dtype=bool)
+    member[list(members)] = True
+    keep = member[ptrs.source]
+    source = ptrs.source[keep]
+    length = model.candidates.lengths[source]
+    first = doc_first[ptrs.target[keep]] + ptrs.location[keep] - 1
+    run_start = np.cumsum(length) - length
+    position = np.arange(int(length.sum())) + np.repeat(first - run_start, length)
+    covering = np.repeat(source, length)
+    n_symbols = model.corpus.total_symbols
+    least = np.full(n_symbols, len(model.candidates))
+    np.minimum.at(least, position, covering)
+    greatest = np.full(n_symbols, -1)
+    np.maximum.at(greatest, position, covering)
+    return set(least[least == greatest].tolist())
+
+
+class _Reconstructions:
+    """prune_descent's state: every target's reconstruction under the
+    current dictionary, the strings that the selection of those results
+    retains, so that each member is used by a document or another member,
+    with the targets that use each member and the selection's objective."""
+
+    def __init__(self, model: ModelInstance, docs: list[ReconResult],
+                 strings: dict[int, ReconResult], selection: _Selection) -> None:
+        self.model = model
+        self.docs = docs
+        self.strings = {cid: strings[cid] for cid in selection.retained}
+        self.objective = selection.objective
+        self.doc_users = _users(enumerate(docs))
+        self.string_users = _users(self.strings.items())
+
+    def solve_trial(self, dropped: int | None, added: int | None
+                    ) -> tuple[dict[int, ReconResult], dict[int, ReconResult]]:
+        """The reconstructions that a trial dropping and adding these
+        strings changes, by document and by string: solved again for the
+        targets whose chosen cover uses the dropped string, the targets
+        with a pointer that needs the added one, and the added one itself.
+        Raises Infeasible when one of them cannot be covered."""
+        trial = set(self.strings)
+        doc_redo: set[int] = set()
+        string_redo: set[int] = set()
+        if dropped is not None:
+            trial.remove(dropped)
+            doc_redo.update(self.doc_users.get(dropped, ()))
+            string_redo.update(self.string_users.get(dropped, ()))
+        if added is not None:
+            trial.add(added)
+            doc_dependents, string_dependents = self.model.dependents
+            doc_redo |= doc_dependents[added]
+            string_redo |= string_dependents[added] & trial
+            string_redo.add(added)
+        doc_inst, dict_inst = self.model.recon_instances
+        return ({k: solve_dp(doc_inst[k], trial) for k in doc_redo},
+                {cid: solve_dp(dict_inst[cid], trial) for cid in string_redo})
+
+    def estimate(self, dropped: int | None, docs: dict[int, ReconResult],
+                 strings: dict[int, ReconResult]) -> float:
+        """The trial's objective, up to float error, from what it changes:
+        the changed results' costs, and the strings that leave the
+        dictionary because no retained target uses them any more (found by
+        counting users, in cascade, since covers use shorter strings)."""
+        string_costs = self.model.costs.string_costs
+        total = self.objective
+        change: dict[int, int] = {}  # change in each string's number of users
+
+        def count(res: ReconResult, step: int) -> None:
+            for cid in res.uses:
+                change[cid] = change.get(cid, 0) + step
+
+        for k, res in docs.items():
+            total += res.cost - self.docs[k].cost
+            count(self.docs[k], -1)
+            count(res, 1)
+        for cid, res in strings.items():
+            old = self.strings.get(cid)
+            if old is None:  # the added string
+                total += string_costs[cid] + res.cost
+                change.setdefault(cid, 0)
+            else:
+                total += res.cost - old.cost
+                count(old, -1)
+            count(res, 1)
+        if dropped is not None:
+            total -= string_costs[dropped] + self.strings[dropped].cost
+            count(self.strings[dropped], -1)
+
+        def unused(cid: int) -> bool:
+            users = len(self.doc_users.get(cid, ())) + len(self.string_users.get(cid, ()))
+            return cid != dropped and users + change.get(cid, 0) == 0
+
+        leaving = [cid for cid in change if unused(cid)]
+        while leaving:
+            cid = leaving.pop()
+            res = strings[cid] if cid in strings else self.strings[cid]
+            total -= string_costs[cid] + res.cost
+            count(res, -1)
+            leaving += [source for source in res.uses if unused(source)]
+        return total
+
+    def results(self, dropped: int | None, docs: dict[int, ReconResult],
+                strings: dict[int, ReconResult]
+                ) -> tuple[list[ReconResult], dict[int, ReconResult]]:
+        """Every reconstruction under the trial dictionary, as _solve_members
+        lists them: the changed results over the current ones."""
+        trial_docs = list(self.docs)
+        for k, res in docs.items():
+            trial_docs[k] = res
+        trial_strings = {cid: res for cid, res in self.strings.items() if cid != dropped}
+        trial_strings.update(strings)
+        return trial_docs, trial_strings
 
 
 def prune_descent(comp: Compression, model: ModelInstance,
                   bound: float = -math.inf) -> Compression:
-    """Best-improvement local search over the rounded dictionary: drop one
-    member at a time (and, on small instances, swap a member for an outside
-    candidate or add one), re-solving every reconstruction against the new
-    dictionary, while the objective strictly decreases.  Each step keeps a
-    valid binary compression, so this only sharpens the rounding and is a
-    no-op when the input is already a binary optimum.  Trials are compared
-    on id lists; only the result is laid out as pointer arrays.  A trial
-    that reaches the lower bound ends the scan and the descent, since no
-    later trial could beat it."""
-    members = set(comp.dictionary)
+    """Best-improvement local search over a valid compression's dictionary,
+    from the strings its reconstructions use (all of it, for a compression
+    that rounding assembles): drop one member at a time (and, on small
+    instances, swap a member for an outside candidate or add one), while
+    the objective strictly decreases.  Each step keeps a valid binary
+    compression, so this only sharpens the rounding and is a no-op when the
+    input is already a binary optimum.  Trials are compared on id lists;
+    only the result is laid out as pointer arrays.  A trial that reaches
+    the lower bound ends the scan and the descent, since no later trial
+    could beat it.
+
+    The search is incremental, and its outputs are those of re-solving
+    every reconstruction per trial.  It keeps each target's reconstruction
+    under the current dictionary, and a trial solves again only the
+    targets whose result can change (_Reconstructions.solve_trial).  Every
+    other target keeps its result, which is what solve_dp returns on the
+    trial:
+    - Removing intervals that the chosen cover does not use can only raise
+      dp values.  The chosen path keeps its values, every interval ranked
+      before it on its end only gets dearer, and a prefix ranked before
+      its predecessor only dearer too, so the tie rules pick the same
+      intervals.
+    - Adding intervals changes nothing for a target that has none of them.
+    A drop trial of an essential member (_essential) raises Infeasible, so
+    it is skipped unsolved.  A trial whose estimated objective exceeds the
+    one to beat by more than ESTIMATE_SLACK of it, far beyond float error,
+    cannot be accepted and is not priced.  Every other feasible trial is
+    priced by _select on its full result lists, so objectives sum in the
+    order of a full re-solve.  The accepted trial's results, restricted to
+    its retained strings (whose covers use no other), are the next
+    round's, so the estimate can count on every member being used."""
+    doc_first = np.cumsum([0] + [len(doc) for doc in model.corpus.docs])[:-1]
+    docs, strings = _solve_members(model, set(comp.dictionary))
+    state = _Reconstructions(model, docs, strings, _select(model, docs, strings))
     best: _Selection | None = None
     best_objective = comp.objective
     all_cids = set(range(len(model.candidates)))
     universe = len(model.doc_pointers) + len(model.dict_pointers)
     while True:
+        members = set(state.strings)
         outside = sorted(all_cids - members)
-        trials: list[set[int]] = [members - {cid} for cid in sorted(members)
-                                  if len(members) > 1]
+        trials: list[tuple[int | None, int | None]] = []  # (dropped, added)
+        if len(members) > 1:
+            essential = _essential(model, members, doc_first)
+            trials += [(cid, None) for cid in sorted(members) if cid not in essential]
         if (len(members) + 1) * len(outside) * universe <= SWAP_BUDGET:
-            trials.extend(members - {cid} | {new}
-                          for cid in sorted(members) for new in outside)
-            trials.extend(members | {new} for new in outside)
+            trials += [(cid, new) for cid in sorted(members) for new in outside]
+            trials += [(None, new) for new in outside]
         improved = None
-        for trial in trials:
+        for dropped, added in trials:
             try:
-                candidate = _select(model, *_solve_members(model, trial))
+                docs, strings = state.solve_trial(dropped, added)
             except Infeasible:
                 continue
-            if candidate.objective < best_objective - 1e-9 and (
-                    improved is None or candidate.objective < improved.objective - 1e-9):
-                improved = candidate
-                if reaches_bound(improved.objective, bound):
-                    return _compression(model, improved)
+            to_beat = (best_objective if improved is None else improved[0].objective) - 1e-9
+            estimate = state.estimate(dropped, docs, strings)
+            if estimate - ESTIMATE_SLACK * (1.0 + abs(estimate)) >= to_beat:
+                continue
+            results = state.results(dropped, docs, strings)
+            candidate = _select(model, *results)
+            if candidate.objective < to_beat:
+                improved = (candidate, results)
+                if reaches_bound(candidate.objective, bound):
+                    return _compression(model, candidate)
         if improved is None:
             return comp if best is None else _compression(model, best)
-        best = improved
+        best, (docs, strings) = improved
         best_objective = best.objective
-        members = set(best.retained)
+        state = _Reconstructions(model, docs, strings, best)
 
 
 def price(comp: Compression, model: ModelInstance) -> float:
@@ -488,7 +680,9 @@ def exact_solve(model: ModelInstance, limit: int = EXACT_LIMIT,
     class_sets = [set(members) for members in classes.multi_member()] if classes else []
     best = None
     # by size, then lexicographically: the tie order, so only a strictly
-    # cheaper subset replaces the best one
+    # cheaper subset replaces the best one.  The unigrams form a subset that
+    # covers a coverable model, and no class holds two of them, so some
+    # subset always does
     for size in range(1, ncand + 1):
         for subset in itertools.combinations(range(ncand), size):
             members = set(subset)
@@ -505,8 +699,6 @@ def exact_solve(model: ModelInstance, limit: int = EXACT_LIMIT,
                 cost += res.cost + model.costs.string_costs[cid]
             if best is None or cost < best[0] - 1e-9:
                 best = (cost, subset, docs, strings)
-    if best is None:
-        raise Infeasible("no dictionary subset reconstructs the corpus")
     cost, subset, docs, strings = best
     doc_idx = sorted(i for res in docs for i in res.chosen)
     dict_idx = sorted(i for res in strings.values() for i in res.chosen)

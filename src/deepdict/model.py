@@ -168,9 +168,20 @@ def build_pointers(corpus: Corpus, candidates: CandidateSet) -> tuple[Pointers, 
     deterministic order so downstream variable ids are reproducible:
     documents by (target, location, source), dictionary pointers by
     (target, location, kind, source), character slots before strings.
+    Running out of memory raises TooLarge with the universe's size.
     """
     if len(candidates) == 0:
         raise InvalidParam("candidate set is empty")
+    try:
+        return _pointer_arrays(candidates)
+    except MemoryError:
+        size = (sum(map(len, candidates.occurrences)) + sum(map(len, candidates.strings))
+                + sum(map(len, candidates.substring_index)))
+        raise TooLarge(f"out of memory building the pointer universe: {size} pointers, "
+                       f"{len(candidates)} candidates") from None
+
+
+def _pointer_arrays(candidates: CandidateSet) -> tuple[Pointers, Pointers]:
     source, doc, start = _pairs(candidates.occurrences)
     doc_ptrs = Pointers(np.full(len(source), DOCUMENT_CODE), doc, start, source)
     doc_ptrs = doc_ptrs[np.lexsort((source, start, doc))]
@@ -204,36 +215,44 @@ class ModelInstance:
     costs: CostModel
 
     @functools.cached_property
-    def doc_recon(self) -> tuple[list[int], list[ReconInstance]]:
-        """The document half of needs and recon_instances, built on first
-        use; character_only shares it with its restriction."""
-        needs = self.doc_pointers.source.tolist()
-        return needs, _instances([doc.symbols for doc in self.corpus.docs], self.doc_pointers,
-                                 self.costs.doc_costs, needs, self.candidates.lengths)
+    def doc_recon(self) -> list[ReconInstance]:
+        """The document half of recon_instances, built on first use;
+        character_only shares it with its restriction."""
+        return _instances([doc.symbols for doc in self.corpus.docs], self.doc_pointers,
+                          self.costs.doc_costs, self.doc_pointers.source.tolist(),
+                          self.candidates.lengths)
 
     @functools.cached_property
-    def dict_recon(self) -> tuple[list[int | None], list[ReconInstance]]:
-        """The dictionary half of needs and recon_instances, built on first
-        use."""
+    def dict_recon(self) -> list[ReconInstance]:
+        """The dictionary half of recon_instances, built on first use."""
         sources = self.dict_pointers.source.tolist()
         chars = (self.dict_pointers.kind == CHAR_CODE).tolist()
         needs = [None if char else source for source, char in zip(sources, chars)]
-        return needs, _instances(self.candidates.strings, self.dict_pointers,
-                                 self.costs.dict_costs, needs, self.candidates.lengths)
-
-    @property
-    def needs(self) -> tuple[list[int], list[int | None]]:
-        """The string each pointer needs in the dictionary, as lists for
-        per-dictionary lookups: every document pointer's source, and each
-        dictionary pointer's source, or None for a character slot."""
-        return self.doc_recon[0], self.dict_recon[0]
+        return _instances(self.candidates.strings, self.dict_pointers,
+                          self.costs.dict_costs, needs, self.candidates.lengths)
 
     @property
     def recon_instances(self) -> tuple[list[ReconInstance], list[ReconInstance]]:
         """One reconstruction instance per target: per document (indexed by
         doc id) its pointers, per candidate its character slots (source
-        None: they need no member) and its string pointers."""
-        return self.doc_recon[1], self.dict_recon[1]
+        None: they need no member) and its string pointers.  Each interval's
+        source is the string its pointer needs in the dictionary."""
+        return self.doc_recon, self.dict_recon
+
+    @functools.cached_property
+    def dependents(self) -> tuple[list[set[int]], list[set[int]]]:
+        """Per candidate, built on first use: the documents, and the
+        candidates, with a pointer that needs it in the dictionary (so
+        adding it to a dictionary can change only their reconstructions)."""
+        n = len(self.candidates)
+        docs: list[set[int]] = [set() for _ in range(n)]
+        strings: list[set[int]] = [set() for _ in range(n)]
+        dicts = self.dict_pointers
+        for targets, ptrs in ((docs, self.doc_pointers),
+                              (strings, dicts[dicts.kind == STRING_CODE])):
+            for source, target in zip(ptrs.source.tolist(), ptrs.target.tolist()):
+                targets[source].add(target)
+        return docs, strings
 
     @functools.cached_property
     def symbol_pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,7 +7,9 @@ The shallow half can only win by being cheaper than the deep result by
 solution is feasible in the deep model).  So it is skipped when the deep
 rounding reaches the deep bound, and it is solved but not rounded when its
 own bound reaches the deep result; both skips drop only results compress
-would discard, so outputs are the same as without them.
+would discard, so outputs are the same as without them.  The shallow
+solve gets the deep result as its cutoff, so it can stop as soon as its
+duals prove that bound, and is finished only when they do not.
 bon_compress() realizes the all-n-grams landmark (uniform negative costs)
 by inspection, without a solve.  path_sweep() resolves the LP along an
 ascending grid of dictionary-pointer costs and merges consecutive grid
@@ -115,9 +117,11 @@ def _shallow_rounding(job: CompressJob, model: ModelInstance,
                       incumbent: float) -> Compression | None:
     """Round the character-only restriction (whose own size gates its
     swap/add moves) and price the result in the full model; None when the
-    restriction's bound shows its rounding cannot beat the incumbent."""
+    restriction's bound shows its rounding cannot beat the incumbent.  The
+    incumbent is the solve's cutoff, so HiGHS can stop as soon as its duals
+    prove that bound."""
     restricted = character_only(model)
-    solution = solve_lp(build_lp(restricted, cuts=job.cuts))
+    solution = solve_lp(build_lp(restricted, cuts=job.cuts), incumbent)
     if reaches_bound(incumbent, solution.bound):
         return None
     comp = round_to_compression(solution, restricted)

@@ -58,6 +58,7 @@ class ReconInstance:
 class ReconResult:
     cost: float
     chosen: tuple[int, ...]  # pointer ids of the selected intervals
+    uses: frozenset[int] = frozenset()  # the sources they need
 
 
 def solve_dp(instance: ReconInstance,
@@ -90,10 +91,13 @@ def solve_dp(instance: ReconInstance,
         uncovered = min(r for r in range(1, n + 1) if not math.isfinite(dp[r]))
         raise Infeasible(f"position {uncovered} of the target is uncoverable")
     chosen = []
+    uses = set()
     r = n
     while r > 0:
         iv, r = back[r]
         chosen.append(iv.pointer)
+        if iv.source is not None:
+            uses.add(iv.source)
     chosen.reverse()
-    return ReconResult(dp[n], tuple(chosen))
+    return ReconResult(dp[n], tuple(chosen), frozenset(uses))
 

@@ -6,14 +6,17 @@ lower <= x <= upper,   with A given as compressed sparse columns
 (SparseProgram); lp.solve_lp builds those arrays straight from the model,
 and csc() lays out any (row, col, value) entries in that form.
 
-Every solve uses the fixed HIGHS_OPTIONS.  The HiGHS statuses optimal,
+Every solve uses the fixed HIGHS_OPTIONS, plus HiGHS's objective_bound
+when the caller gives one: the dual simplex then stops once its dual
+objective passes that bound.  The HiGHS statuses optimal, objective bound,
 infeasible and unbounded are returned as such; any other status (an
 iteration limit, a solver error) raises NumericalFailure.  An optimal
-result carries HiGHS's row duals y (with c - A'y the reduced costs), and
-dual_bound() turns any y into a lower bound on the program by weak
-duality, clipping y to each row's bound type and taking each column's
-reduced cost at its cheaper bound, so the bound does not depend on the
-solver's tolerances or its reported objective.
+result, and one stopped at the objective bound, carries HiGHS's row duals
+y (with c - A'y the reduced costs), and dual_bound() turns any y into a
+lower bound on the program by weak duality, clipping y to each row's bound
+type and taking each column's reduced cost at its cheaper bound, so the
+bound does not depend on the solver's tolerances or its reported
+objective, nor on why the solver stopped.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from .errors import NumericalFailure
 HIGHS_OPTIONS = {"output_flag": False, "threads": 1, "presolve": "off"}
 
 _CORE = "scipy.optimize._highspy._core"
-_STATUSES = {"kOptimal": "optimal", "kInfeasible": "infeasible",
-             "kUnbounded": "unbounded"}
+_STATUSES = {"kOptimal": "optimal", "kObjectiveBound": "objective_bound",
+             "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
 
 
 @dataclass
@@ -61,9 +64,9 @@ class SparseProgram:
 
 @dataclass
 class SimplexResult:
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | objective_bound | infeasible | unbounded
     x: np.ndarray | None
-    objective: float
+    objective: float  # c.x; only the optimum's is the program's value
     iterations: int
     row_dual: np.ndarray | None  # HiGHS's row duals y, with c - A'y the reduced costs
 
@@ -127,8 +130,11 @@ def _highs_core():
     return importlib.import_module(_CORE)
 
 
-def run(program: SparseProgram) -> SimplexResult:
-    """One HiGHS run on the program with HIGHS_OPTIONS."""
+def run(program: SparseProgram, objective_bound: float | None = None) -> SimplexResult:
+    """One HiGHS run on the program with HIGHS_OPTIONS.  With an objective
+    bound, the dual simplex may stop as soon as its dual objective passes
+    the bound, with status objective_bound and the row duals it stopped
+    at; whether they prove the bound is for dual_bound to say."""
     core = _highs_core()
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(program.cost)
@@ -143,7 +149,10 @@ def run(program: SparseProgram) -> SimplexResult:
     lp.a_matrix_.index_ = program.index
     lp.a_matrix_.value_ = program.value
     highs = core._Highs()
-    for name, value in HIGHS_OPTIONS.items():
+    options = dict(HIGHS_OPTIONS)
+    if objective_bound is not None:
+        options["objective_bound"] = float(objective_bound)
+    for name, value in options.items():
         if highs.setOptionValue(name, value) == core.HighsStatus.kError:
             raise NumericalFailure(f"HiGHS rejected the option {name}={value!r}")
     if highs.passModel(lp) == core.HighsStatus.kError:
@@ -160,11 +169,11 @@ def run(program: SparseProgram) -> SimplexResult:
     if status is None:
         raise NumericalFailure(
             f"HiGHS stopped with status {highs.modelStatusToString(model_status)}")
-    if status != "optimal":
+    if status in ("infeasible", "unbounded"):
         objective = float("nan") if status == "infeasible" else float("-inf")
         return SimplexResult(status, None, objective, iterations, None)
     solution = highs.getSolution()
     x = np.array(solution.col_value, dtype=float)
     y = np.array(solution.row_dual, dtype=float).reshape(len(program.row_lower))
-    return SimplexResult("optimal", x, float(program.cost @ x), iterations, y)
+    return SimplexResult(status, x, float(program.cost @ x), iterations, y)
 

@@ -21,9 +21,12 @@ the package itself never runs them:
   predicts the same on diffused and on raw features.
 - alpha_depth_check: at alpha < 1/k, every dictionary string of length
   <= k is built from character slots alone.
+- reference_prune_descent: lp.prune_descent without its per-target
+  cache, every trial re-solving every reconstruction.
 - reference_compress: compress without the LP bound's skips, so every
-  rounding is pruned and every deep job also rounds its character-only
-  restriction; epsilon_rounding is the rounding it prunes.
+  rounding is pruned (by reference_prune_descent) and every deep job also
+  rounds its character-only restriction; epsilon_rounding is the rounding
+  it prunes.
 - write_corpus, read_matrix and write_labels: the file formats read back
   or written the other way round.
 """
@@ -43,8 +46,8 @@ from deepdict.corpus import Corpus
 from deepdict.errors import DimensionMismatch, Infeasible, InvalidParam, NumericalFailure
 from deepdict.features import SparseMatrix, diffuse
 from deepdict.lp import (EXACT_LIMIT, Compression, LPInstance, LPSolution, build_lp,
-                         cut_classes, exact_solve, price, prune_descent, solve_lp)
-from deepdict.model import CHAR_CODE, ModelInstance, character_only
+                         cut_classes, exact_solve, price, solve_lp)
+from deepdict.model import CHAR_CODE, DICT_CHAR, ModelInstance, character_only
 from deepdict.pipeline import CompressJob, build_job_model, compress
 from deepdict.recon import ReconInstance
 
@@ -56,14 +59,15 @@ def split_symbols(text: str, mode: str = "char") -> list[str]:
 def brute_candidates(texts: list[str], max_len: int, min_count: int,
                      mode: str = "char") -> dict[tuple[str, ...], list[tuple[int, int]]]:
     """Every distinct substring of length <= max_len with >= min_count
-    occurrences, by direct scanning; positions are (doc, 1-based start)."""
+    occurrences, and every unigram whatever its count, by direct scanning;
+    positions are (doc, 1-based start)."""
     occ: dict[tuple[str, ...], list[tuple[int, int]]] = {}
     for k, text in enumerate(texts):
         syms = split_symbols(text, mode)
         for i in range(len(syms)):
             for length in range(1, min(max_len, len(syms) - i) + 1):
                 occ.setdefault(tuple(syms[i:i + length]), []).append((k, i + 1))
-    return {s: sorted(o) for s, o in occ.items() if len(o) >= min_count}
+    return {s: sorted(o) for s, o in occ.items() if len(o) >= min_count or len(s) == 1}
 
 
 def bon_counts(texts: list[str], max_len: int, min_count: int,
@@ -355,7 +359,7 @@ def _pointer_column(model: ModelInstance, doc_base: dict[int, int],
         ptr = model.dict_pointers[i]
         start = dict_base[ptr.target] + ptr.location - 1
         cost = model.costs.dict_costs[i]
-        source = model.needs[1][i]
+        source = None if ptr.kind == DICT_CHAR else ptr.source
     return start, start + model.candidates.length(ptr.source), cost, source
 
 
@@ -569,9 +573,42 @@ def epsilon_rounding(solution: LPSolution, model: ModelInstance) -> Compression:
     return lp_module._assemble(model, *lp_module._solve_members(model, members))
 
 
+def reference_prune_descent(comp: Compression, model: ModelInstance,
+                            bound: float = -math.inf) -> Compression:
+    """lp.prune_descent without its cache: every trial, the infeasible
+    ones included, re-solves every reconstruction from scratch."""
+    members = set(comp.dictionary)
+    best = None
+    best_objective = comp.objective
+    all_cids = set(range(len(model.candidates)))
+    universe = len(model.doc_pointers) + len(model.dict_pointers)
+    while True:
+        outside = sorted(all_cids - members)
+        trials = [members - {cid} for cid in sorted(members) if len(members) > 1]
+        if (len(members) + 1) * len(outside) * universe <= lp_module.SWAP_BUDGET:
+            trials.extend(members - {cid} | {new} for cid in sorted(members) for new in outside)
+            trials.extend(members | {new} for new in outside)
+        improved = None
+        for trial in trials:
+            try:
+                candidate = lp_module._select(model, *lp_module._solve_members(model, trial))
+            except Infeasible:
+                continue
+            if candidate.objective < best_objective - 1e-9 and (
+                    improved is None or candidate.objective < improved.objective - 1e-9):
+                improved = candidate
+                if lp_module.reaches_bound(improved.objective, bound):
+                    return lp_module._compression(model, improved)
+        if improved is None:
+            return comp if best is None else lp_module._compression(model, best)
+        best = improved
+        best_objective = best.objective
+        members = set(best.retained)
+
+
 def _reference_rounding(solution: LPSolution, model: ModelInstance) -> Compression:
     """The epsilon-rounding of the solution, always pruned with no bound."""
-    return prune_descent(epsilon_rounding(solution, model), model)
+    return reference_prune_descent(epsilon_rounding(solution, model), model)
 
 
 def reference_compress(job: CompressJob) -> Compression:

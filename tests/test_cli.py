@@ -7,9 +7,11 @@ import sys
 import pytest
 
 from deepdict import cli, pipeline, simplex
+from deepdict import model as model_module
 from deepdict.corpus import read_corpus
-from deepdict.lp import build_lp
-from deepdict.pipeline import CompressJob, PathResult, build_job_model
+from deepdict.lp import build_lp, compression_errors
+from deepdict.pipeline import (CompressJob, PathResult, bon_compress, build_job_model,
+                               compress)
 
 from oracles import bon_counts, labelled_ladder, ladder_texts, read_matrix, same_entries
 
@@ -121,7 +123,7 @@ def test_solver_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
     inp = write_corpus_file(tmp_path, "c.txt", ["aabaabaax", "abaabax"])
     lp = build_lp(build_job_model(CompressJob(read_corpus(inp, "char"))))
 
-    def run(program):
+    def run(program, objective_bound=None):
         raise MemoryError("std::bad_alloc")
 
     monkeypatch.setattr(simplex, "run", run)
@@ -129,6 +131,30 @@ def test_solver_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert (f"TooLarge: out of memory solving the relaxation: {lp.n_rows} rows, "
             f"{lp.n_vars} columns") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module, name, stage", [
+    (model_module, "_pointer_arrays", "building the pointer universe: {pointers} pointers, "
+                                      "{candidates} candidates"),
+    (simplex, "csc", "assembling the relaxation: {rows} rows, {columns} columns"),
+])
+def test_out_of_memory_names_its_stage(tmp_path, monkeypatch, capsys, module, name, stage):
+    # a MemoryError while building the pointers or the sparse program is
+    # reported with that stage and its size
+    inp = write_corpus_file(tmp_path, "c.txt", ["aabaabaax", "abaabax"])
+    model = build_job_model(CompressJob(read_corpus(inp, "char")))
+    lp = build_lp(model)
+    size = {"pointers": len(model.doc_pointers) + len(model.dict_pointers),
+            "candidates": len(model.candidates), "rows": lp.n_rows, "columns": lp.n_vars}
+
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, fail)
+    assert cli.main(["compress", inp, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "TooLarge: out of memory " + stage.format(**size) in err
     assert "Traceback" not in err
 
 
@@ -295,7 +321,7 @@ def test_features_fractional_reuses_deep_solution(tmp_path, monkeypatch, flags, 
     run = simplex.run
     programs = []
     monkeypatch.setattr(simplex, "run",
-                        lambda program: programs.append(program) or run(program))
+                        lambda program, *bound: programs.append(program) or run(program, *bound))
     assert cli.main(["features", inp, "--fractional", "--flat",
                      "--out", str(tmp_path / "f")] + flags) == 0
     assert len(programs) == solves
@@ -377,6 +403,24 @@ def test_eval_labeled_input(tmp_path):
                      "--out", out])
     assert code == 0
     assert "top_nb_accuracy:" in read_file(os.path.join(out, "eval.txt"))
+
+
+@pytest.mark.parametrize("mode, lines", [
+    ("char", ["abcabq", "abcab", "cabcab", "bcabca"]),  # 'q' occurs once
+    ("token", ["the cat sat", "the cat sat down", "a cat sat", "the dog sat"]),
+])
+def test_once_only_symbols_run_end_to_end(tmp_path, mode, lines):
+    # every unigram is a candidate whatever --min-count (2 by default), so
+    # a symbol that occurs once no longer stops a run
+    inp = write_corpus_file(tmp_path, "docs.txt", lines)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n0\n1\n1\n", encoding="utf-8")
+    for argv in (["compress", inp], ["features", inp, "--flat"], ["bon", inp],
+                 ["eval", inp, "--labels", str(labels), "--resamples", "2", "--bon", "2"]):
+        assert cli.main(argv + ["--mode", mode, "--out", str(tmp_path / argv[0])]) == 0
+    corpus = read_corpus(inp, mode)
+    for comp, _, model in (compress(CompressJob(corpus)), bon_compress(corpus, 4, 2)):
+        assert compression_errors(comp, model) == []
 
 
 def test_eval_label_mismatch_exits_2(tmp_path):

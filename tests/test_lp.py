@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deepdict import lp
-from deepdict.corpus import CHAR, enumerate_candidates, equivalence_classes, ingest
+from deepdict.corpus import CHAR, CandidateSet, enumerate_candidates, equivalence_classes, ingest
 from deepdict.errors import Infeasible, InvalidParam, TooLarge
 from deepdict.lp import (build_lp, check_coverable, compression_errors, exact_solve,
                          prune_descent, round_to_compression, solve_lp, sparse_program)
@@ -17,7 +17,7 @@ from deepdict.pipeline import CompressJob, bon_compress, compress
 from deepdict.recon import Interval, ReconInstance, ReconResult, solve_dp
 
 from oracles import (GE, LE, dense_program, epsilon_rounding, ladder_texts, naive_exact,
-                     pointer_is_valid, solve_dense)
+                     pointer_is_valid, reference_prune_descent, solve_dense)
 
 SNAP = 1e-6
 
@@ -174,23 +174,57 @@ def test_solve_lp_matches_dense_reference(n_docs, length):
         assert solve_lp(lp).objective == pytest.approx(reference.objective, abs=1e-7)
 
 
-def test_infeasible_when_filter_removes_a_position():
-    # 'c' occurs once, so min_count=2 leaves its position uncoverable
+def count_filtered_model(texts, max_len, min_count):
+    """The model over the candidates that occur min_count times, unigrams
+    included: the filter enumerate_candidates applied before it kept every
+    unigram.  Dropped ids are renumbered away."""
+    corpus = ingest(texts, CHAR)
+    full = enumerate_candidates(corpus, max_len, min_count)
+    kept = [cid for cid in range(len(full)) if full.count(cid) >= min_count]
+    new_id = {cid: k for k, cid in enumerate(kept)}
+    strings = [full.strings[cid] for cid in kept]
+    # a substring occurs wherever its superstring does, so it is kept too
+    candidates = CandidateSet(strings, [full.occurrences[cid] for cid in kept],
+                              [[(new_id[sub], start) for sub, start in full.substring_index[cid]]
+                               for cid in kept],
+                              {s: k for k, s in enumerate(strings)})
+    return build_model(corpus, candidates, 0.0, 1.0, 1.0)
+
+
+def test_once_only_symbol_keeps_its_unigram():
+    # 'c' occurs once; its unigram stays a candidate, while min_count=2
+    # still drops every longer string through it
     model = model_for(["abcab"], 3, 2)
+    c = model.corpus.table.id_of("c")
+    assert (c,) in model.candidates.index
+    assert not any(c in s for s in model.candidates.strings if len(s) > 1)
+    solution = solve_lp(build_lp(model))
+    comp = round_to_compression(solution, model)
+    assert compression_errors(comp, model) == []
+    assert c in [model.candidates.strings[cid][0] for cid in comp.dictionary]
+
+
+def test_infeasible_when_filter_removes_a_position():
+    # a candidate set filtered by count at every length, unigrams included,
+    # leaves the position of the once-only 'c' uncoverable
+    model = count_filtered_model(["abcab"], 3, 2)
     with pytest.raises(Infeasible, match="document 0 position 3"):
         solve_lp(build_lp(model))
 
 
 def test_check_coverable_matches_pointer_cover():
     """check_coverable reads only the unigrams; it must raise exactly when
-    some document position has no covering pointer, naming the first."""
+    some document position has no covering pointer, naming the first.
+    Enumerated candidates keep every unigram, so they always pass."""
     rng = random.Random(5)
     raised = 0
     for _ in range(30):
         # at least 6 symbols over 4 letters, so some unigram survives m=2
         texts = ["".join(rng.choice("abcd") for _ in range(rng.randint(3, 7)))
                  for _ in range(rng.randint(2, 4))]
-        model = model_for(texts, 3, rng.randint(1, 2))
+        min_count = rng.randint(1, 2)
+        check_coverable(model_for(texts, 3, min_count))
+        model = count_filtered_model(texts, 3, min_count)
         uncovered = []
         for doc in model.corpus.docs:
             covered = set()
@@ -735,12 +769,15 @@ def test_prune_stops_at_the_bound(monkeypatch):
     solution = solve_lp(build_lp(model))
     raw = epsilon_rounding(solution, model)
     assert (raw.objective, solution.bound) == (9.0, 6.0)
-    trials = _counting(monkeypatch, "_solve_members")
+    trials = []
+    solve_trial = lp._Reconstructions.solve_trial
+    monkeypatch.setattr(lp._Reconstructions, "solve_trial",
+                        lambda self, *args: trials.append(args) or solve_trial(self, *args))
     full = prune_descent(raw, model)
     searched = len(trials)
     trials.clear()
     bounded = prune_descent(raw, model, solution.bound)
-    assert len(trials) < searched
+    assert 0 < len(trials) < searched
     assert (bounded.fingerprint(), bounded.objective) == (full.fingerprint(), 6.0)
     assert round_to_compression(solution, model) == bounded
 
@@ -760,6 +797,30 @@ def test_prune_runs_when_the_bound_falls_just_short(monkeypatch):
         assert comp == raw
 
 
+def test_cutoff_stops_the_solve_once_the_duals_prove_it(monkeypatch):
+    # the 5-doc ladder's character-only LP at lambda 0.25 (with cuts): the
+    # deep rounding costs 31.25, and the solve with that cutoff stops early
+    # with duals that prove at least 31.5; it is returned as such
+    model = character_only(model_for(ladder_texts(5, random.Random(0)), 4, 2, lam=0.25))
+    instance = build_lp(model, cuts=True)
+    full = solve_lp(instance)
+    stopped = solve_lp(instance, 31.25)
+    assert stopped.basis_summary["iterations"] < full.basis_summary["iterations"]
+    assert np.isnan(stopped.objective)
+    assert lp.reaches_bound(31.25, stopped.bound) and stopped.bound <= full.objective + 1e-9
+    # where the bound of those duals fell short, the program is solved
+    # again without the cutoff, and the solution is the full solve's
+    dual_bound = lp.simplex.dual_bound
+    short = iter([31.0])
+    monkeypatch.setattr(lp.simplex, "dual_bound",
+                        lambda program, y: next(short, None) or dual_bound(program, y))
+    again = solve_lp(instance, 31.25)
+    assert (again.objective, again.bound) == (full.objective, full.bound)
+    assert np.array_equal(again.values, full.values)
+    assert again.basis_summary["iterations"] == (stopped.basis_summary["iterations"]
+                                                 + full.basis_summary["iterations"])
+
+
 def test_prune_descent_never_worsens():
     rng = random.Random(8)
     for _ in range(10):
@@ -769,3 +830,40 @@ def test_prune_descent_never_worsens():
         improved = prune_descent(raw, model)
         assert improved.objective <= raw.objective + 1e-12
         assert not compression_errors(improved, model)
+
+
+def _prune_jobs():
+    """Seeded models with their cut flag: plain, cut and length-cost jobs
+    over two or three letters, from one to three documents, then six jobs
+    of five documents, too large for swap/add trials."""
+    rng = random.Random(31)
+    for k in range(42):
+        texts = ["".join(rng.choice("abc"[:rng.randint(2, 3)])
+                         for _ in range(rng.randint(4, 12)))
+                 for _ in range(rng.randint(1, 3) if k < 36 else 5)]
+        kind = k % 3
+        model = model_for(texts, rng.randint(3, 5), rng.randint(1, 2),
+                          tau=rng.choice([0.0, 0.25]) if kind < 2 else 0.0,
+                          lam=rng.choice([0.5, 1.0, 1.5]), alpha=rng.choice([1.0, 0.5]),
+                          dict_cost_mode="length" if kind == 2 else "constant")
+        yield model, kind == 1
+
+
+def test_prune_descent_matches_the_uncached_reference():
+    # the cached search returns what re-solving every reconstruction per
+    # trial returns, with and without a bound, on jobs small enough for
+    # swap/add trials and on jobs that only drop
+    swaps = improved = 0
+    for model, cuts in _prune_jobs():
+        solution = solve_lp(build_lp(model, cuts=cuts))
+        raw = epsilon_rounding(solution, model)
+        for bound in (-np.inf, solution.bound):
+            comp = prune_descent(raw, model, bound)
+            reference = reference_prune_descent(raw, model, bound)
+            assert (comp.fingerprint(), repr(comp.objective)) == (
+                reference.fingerprint(), repr(reference.objective))
+            improved += comp.objective < raw.objective
+        size = len(raw.dictionary)
+        universe = len(model.doc_pointers) + len(model.dict_pointers)
+        swaps += (size + 1) * (len(model.candidates) - size) * universe <= lp.SWAP_BUDGET
+    assert 30 < swaps < 42 and improved > 20

@@ -56,7 +56,6 @@ def test_character_only_restricts_without_copying():
     assert shallow.costs.doc_costs is model.costs.doc_costs
     # the document reconstruction instances, and what they need, too
     assert shallow.recon_instances[0] is model.recon_instances[0]
-    assert shallow.needs[0] is model.needs[0]
     assert shallow.costs.string_costs is model.costs.string_costs
     # exactly the character slots, in model order, with their own costs
     chars = [(p, c) for p, c in zip(model.dict_pointers, model.costs.dict_costs)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -119,6 +120,36 @@ def test_dp_member_filter_matches_filtered_instance():
             assert got == _outcome(ReconInstance(tuple(range(n)), kept))
             feasible += not isinstance(got, str)
     assert 150 < feasible < 550
+
+
+def test_dropping_unused_sources_keeps_the_result():
+    # prune_descent keeps a target's result when a trial drops sources its
+    # chosen cover does not use: dp values can only rise, so the chosen
+    # path keeps its values and the tie rules pick the same intervals;
+    # integer costs make ties common
+    rng = random.Random(77)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        intervals = []
+        for i in range(rng.randint(1, 14)):
+            start = rng.randint(1, n)
+            intervals.append(Interval(start, rng.randint(1, n - start + 1),
+                                      float(rng.randint(0, 3)), i,
+                                      rng.choice([None, 0, 1, 2, 3])))
+        instance = ReconInstance(tuple(range(n)), intervals)
+        members = {0, 1, 2, 3}
+        try:
+            result = solve_dp(instance, members)
+        except Infeasible:
+            continue
+        used = {intervals[i].source for i in result.chosen}
+        unused = sorted(members - used)
+        for k in range(1, len(unused) + 1):
+            for dropped in itertools.combinations(unused, k):
+                assert solve_dp(instance, members - set(dropped)) == result
+                checked += 1
+    assert checked > 500
 
 
 def test_dp_ranks_by_end_then_longer_then_lower_pointer():
