@@ -138,7 +138,7 @@ def test_solver_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
     (model_module, "_pointer_arrays", "building the pointer universe: {pointers} pointers, "
                                       "{candidates} candidates"),
     (simplex, "csc", "assembling the relaxation: {rows} rows, {columns} columns"),
-])
+], ids=["pointers", "assembly"])
 def test_out_of_memory_names_its_stage(tmp_path, monkeypatch, capsys, module, name, stage):
     # a MemoryError while building the pointers or the sparse program is
     # reported with that stage and its size
